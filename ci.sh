@@ -16,6 +16,12 @@ cargo test -q --locked
 echo "== clippy (deny warnings) =="
 cargo clippy --all-targets --locked -- -D warnings
 
+echo "== thoth-workloads tests (trace-hash pins, heap read path) =="
+cargo test -q --locked -p thoth-workloads
+
+echo "== thoth-workloads clippy (deny warnings) =="
+cargo clippy -p thoth-workloads --all-targets --locked -- -D warnings
+
 echo "== thoth-lint (repo invariants) =="
 cargo run -q --release --locked -p thoth-lint
 

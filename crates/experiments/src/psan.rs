@@ -29,11 +29,11 @@ use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
 
 use thoth_psan::{
-    analyze_clean_under, analyze_variant_with_events, detection, expected_class, race_manifested,
-    seed_variant_under, BLOCK_BYTES,
+    analyze_under, analyze_variant_with_events, detection, expected_class, race_manifested,
+    seed_variant_under, sim_config_for, workload_config, BLOCK_BYTES,
 };
 use thoth_sim::Mode;
-use thoth_workloads::{spec, SeededBug, WorkloadKind};
+use thoth_workloads::{spec, AnnotatedTrace, SeededBug, WorkloadKind};
 
 use std::fmt::Write as _;
 
@@ -196,18 +196,20 @@ pub fn run(settings: ExpSettings, quick: bool) -> PsanOutcome {
 
     // The paper's five workloads plus the multi-tenant service core, so
     // the open-loop subsystem ships with ordering-sanitizer coverage —
-    // each under all four persistence mechanisms.
-    let swept: Vec<WorkloadKind> = WorkloadKind::ALL
+    // each under every persisting mechanism. Each trace is generated
+    // once and shared by the clean sweep and the corpus.
+    let traces: Vec<(WorkloadKind, AnnotatedTrace)> = WorkloadKind::ALL
         .into_iter()
         .chain([WorkloadKind::Service])
+        .map(|kind| (kind, spec::generate_annotated(workload_config(kind, scale))))
         .collect();
-    for &kind in &swept {
+    for &(kind, ref clean) in &traces {
         for mode in modes() {
             eprintln!(
                 "[thoth-experiments] psan analyzing clean {kind} under {}...",
                 mode.label()
             );
-            let run = analyze_clean_under(kind, scale, mode);
+            let run = analyze_under(&clean.trace, &clean.classes, sim_config_for(mode));
             clean_rows.push(CleanRow {
                 kind,
                 mode,
@@ -227,8 +229,7 @@ pub fn run(settings: ExpSettings, quick: bool) -> PsanOutcome {
     // each at their designated workload (alignment-seeded, per mode —
     // event sequence numbers shift with the persist schedule), the
     // whole matrix repeated under each corpus mechanism.
-    for kind in WorkloadKind::ALL {
-        let annotated = spec::generate_annotated(thoth_psan::workload_config(kind, scale));
+    for &(kind, ref annotated) in traces.iter().filter(|(k, _)| WorkloadKind::ALL.contains(k)) {
         for mode in corpus_modes() {
             eprintln!(
                 "[thoth-experiments] psan planting corpus in {kind} under {}...",
@@ -236,13 +237,13 @@ pub fn run(settings: ExpSettings, quick: bool) -> PsanOutcome {
             );
             for bug in SeededBug::CLASSIC {
                 for &seed in seeds(quick) {
-                    plant(&mut corpus_rows, &annotated, kind, mode, bug, seed);
+                    plant(&mut corpus_rows, annotated, kind, mode, bug, seed);
                 }
             }
             for (bug, site_kind) in RACE_SITES {
                 if site_kind == kind && bug_applies(bug, mode) {
                     for &seed in seeds(quick) {
-                        plant(&mut corpus_rows, &annotated, kind, mode, bug, seed);
+                        plant(&mut corpus_rows, annotated, kind, mode, bug, seed);
                     }
                 }
             }

@@ -22,6 +22,8 @@ use thoth_sim_engine::DetRng;
 const ORDER: usize = 8;
 /// Node size on the heap.
 const NODE_BYTES: u64 = 160;
+/// Bytes of the node image (the layout above).
+const IMAGE_BYTES: usize = 152;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -32,26 +34,33 @@ struct Node {
 }
 
 impl Node {
-    fn load(rt: &mut TxRuntime, addr: u64) -> Node {
-        let raw = rt.read(addr, 152);
-        let word = |i: usize| {
-            u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
-        };
-        let is_leaf = word(0) != 0;
-        let nkeys = word(1) as usize;
-        let keys = (0..nkeys).map(|i| word(2 + i)).collect();
-        let nptrs = if is_leaf { nkeys } else { nkeys + 1 };
-        let ptrs = (0..nptrs).map(|i| word(10 + i)).collect();
+    /// An empty node whose key/pointer vectors are sized so that one
+    /// `insert` into a full node never reallocates.
+    fn empty(addr: u64, is_leaf: bool) -> Node {
         Node {
             addr,
             is_leaf,
-            keys,
-            ptrs,
+            keys: Vec::with_capacity(ORDER + 1),
+            ptrs: Vec::with_capacity(ORDER + 2),
         }
     }
 
-    fn image(&self) -> Vec<u8> {
-        let mut out = vec![0u8; 152];
+    fn load(rt: &mut TxRuntime, addr: u64) -> Node {
+        let mut raw = [0u8; IMAGE_BYTES];
+        rt.read_into(addr, &mut raw);
+        let word = |i: usize| {
+            u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+        };
+        let mut node = Node::empty(addr, word(0) != 0);
+        let nkeys = word(1) as usize;
+        node.keys.extend((0..nkeys).map(|i| word(2 + i)));
+        let nptrs = if node.is_leaf { nkeys } else { nkeys + 1 };
+        node.ptrs.extend((0..nptrs).map(|i| word(10 + i)));
+        node
+    }
+
+    fn image(&self) -> [u8; IMAGE_BYTES] {
+        let mut out = [0u8; IMAGE_BYTES];
         let mut put = |i: usize, v: u64| out[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
         put(0, u64::from(self.is_leaf));
         put(1, self.keys.len() as u64);
@@ -88,13 +97,7 @@ impl BTree {
     /// of `value_size` bytes.
     pub fn create(rt: &mut TxRuntime, value_size: usize) -> Self {
         let root = rt.alloc(NODE_BYTES);
-        let node = Node {
-            addr: root,
-            is_leaf: true,
-            keys: Vec::new(),
-            ptrs: Vec::new(),
-        };
-        node.store_new(rt);
+        Node::empty(root, true).store_new(rt);
         BTree {
             root,
             len: 0,
@@ -114,15 +117,6 @@ impl BTree {
         self.len == 0
     }
 
-    fn write_value(&self, rt: &mut TxRuntime, fill: u64) -> u64 {
-        let blob = rt.alloc(self.value_size as u64);
-        let bytes: Vec<u8> = (0..self.value_size)
-            .map(|i| (fill as u8).wrapping_add(i as u8))
-            .collect();
-        rt.write_new(blob, &bytes);
-        blob
-    }
-
     /// Inserts `key` (or updates it copy-on-write if present) with a fresh
     /// value blob filled from `fill`. Must run inside a transaction.
     pub fn insert(&mut self, rt: &mut TxRuntime, key: u64, fill: u64) {
@@ -130,12 +124,8 @@ impl BTree {
         let root = Node::load(rt, self.root);
         if root.keys.len() == ORDER {
             let new_root_addr = rt.alloc(NODE_BYTES);
-            let mut new_root = Node {
-                addr: new_root_addr,
-                is_leaf: false,
-                keys: Vec::new(),
-                ptrs: vec![self.root],
-            };
+            let mut new_root = Node::empty(new_root_addr, false);
+            new_root.ptrs.push(self.root);
             self.split_child(rt, &mut new_root, 0);
             new_root.store_new(rt);
             self.root = new_root_addr;
@@ -190,12 +180,12 @@ impl BTree {
             match node.keys.binary_search(&key) {
                 Ok(pos) => {
                     // Copy-on-write update: new blob, swing the pointer.
-                    let blob = self.write_value(rt, fill);
+                    let blob = rt.write_new_blob(self.value_size, fill);
                     node.ptrs[pos] = blob;
                     node.store(rt);
                 }
                 Err(pos) => {
-                    let blob = self.write_value(rt, fill);
+                    let blob = rt.write_new_blob(self.value_size, fill);
                     node.keys.insert(pos, key);
                     node.ptrs.insert(pos, blob);
                     node.store(rt);

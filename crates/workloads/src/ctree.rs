@@ -62,17 +62,8 @@ impl CritBitTree {
         self.len == 0
     }
 
-    fn write_value(&self, rt: &mut TxRuntime, fill: u64) -> u64 {
-        let blob = rt.alloc(self.value_size as u64);
-        let bytes: Vec<u8> = (0..self.value_size)
-            .map(|i| (fill as u8).wrapping_add(i as u8))
-            .collect();
-        rt.write_new(blob, &bytes);
-        blob
-    }
-
     fn new_leaf(&self, rt: &mut TxRuntime, key: u64, fill: u64) -> u64 {
-        let blob = self.write_value(rt, fill);
+        let blob = rt.write_new_blob(self.value_size, fill);
         let leaf = rt.alloc(16);
         let mut img = [0u8; 16];
         img[..8].copy_from_slice(&key.to_le_bytes());
@@ -104,7 +95,7 @@ impl CritBitTree {
         let best = Self::descend(rt, self.root, key);
         let best_key = rt.read_u64(leaf_addr(best));
         if best_key == key {
-            let blob = self.write_value(rt, fill);
+            let blob = rt.write_new_blob(self.value_size, fill);
             rt.write_u64(leaf_addr(best) + 8, blob); // CoW pointer swing
             return;
         }

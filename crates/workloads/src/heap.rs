@@ -1,22 +1,25 @@
-//! A simulated persistent heap: sparse byte-addressable storage plus a
-//! bump allocator.
+//! A simulated persistent heap: byte-addressable storage plus a bump
+//! allocator.
 //!
 //! Workload data structures store their *real* bytes here (keys, pointers,
 //! node contents), so inserts, lookups, rebalances and swaps genuinely
 //! execute — the emitted store trace is the true memory behaviour of the
 //! structure, not a synthetic approximation.
+//!
+//! Backing pages live in a dense vector indexed from the page holding the
+//! heap base: a bump allocator's footprint is contiguous, so a lookup is a
+//! subtraction and an index, with no hashing. Pages materialize on first
+//! write; bytes never written read as zero.
 
-use thoth_sim_engine::FastMap;
-
-/// Page size of the sparse backing store (an implementation detail, not
-/// the architectural page size).
+/// Page size of the backing store (an implementation detail, not the
+/// architectural page size).
 const PAGE: usize = 4096;
 
 /// Alignment of every allocation. Using 16 keeps adjacent small nodes in
 /// the same cache block, like a real PM allocator's small-object classes.
 const ALIGN: u64 = 16;
 
-/// A sparse, byte-addressable persistent heap with a bump allocator.
+/// A byte-addressable persistent heap with a bump allocator.
 ///
 /// # Example
 ///
@@ -32,7 +35,8 @@ const ALIGN: u64 = 16;
 pub struct PersistentHeap {
     base: u64,
     brk: u64,
-    pages: FastMap<u64, Vec<u8>>,
+    /// `pages[i]` backs page `base / PAGE + i`; `None` until first written.
+    pages: Vec<Option<Box<[u8; PAGE]>>>,
 }
 
 impl PersistentHeap {
@@ -42,7 +46,7 @@ impl PersistentHeap {
         PersistentHeap {
             base,
             brk: base,
-            pages: FastMap::default(),
+            pages: Vec::new(),
         }
     }
 
@@ -77,33 +81,69 @@ impl PersistentHeap {
         addr
     }
 
-    /// Reads `len` bytes at `addr` (untouched bytes read as zero).
-    #[must_use]
-    pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
+    /// Index into `pages` of the page holding `addr`, if at or above the
+    /// base page.
+    fn page_index(&self, addr: u64) -> Option<usize> {
+        let idx = (addr / PAGE as u64).checked_sub(self.base / PAGE as u64)?;
+        usize::try_from(idx).ok()
+    }
+
+    /// Fills `out` with the bytes at `addr` (untouched bytes, including
+    /// any below the heap base, read as zero).
+    pub fn read_into(&self, addr: u64, out: &mut [u8]) {
         let mut done = 0;
-        while done < len {
+        while done < out.len() {
             let a = addr + done as u64;
-            let page = a / PAGE as u64;
             let off = (a % PAGE as u64) as usize;
-            let take = (len - done).min(PAGE - off);
-            if let Some(p) = self.pages.get(&page) {
-                out[done..done + take].copy_from_slice(&p[off..off + take]);
+            let take = (out.len() - done).min(PAGE - off);
+            let dst = &mut out[done..done + take];
+            let page = self
+                .page_index(a)
+                .and_then(|i| self.pages.get(i))
+                .and_then(Option::as_deref);
+            match page {
+                Some(p) => dst.copy_from_slice(&p[off..off + take]),
+                None => dst.fill(0),
             }
             done += take;
         }
+    }
+
+    /// Reads `len` bytes at `addr` into a new vector (see
+    /// [`Self::read_into`] for the allocation-free form).
+    #[must_use]
+    pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
         out
     }
 
-    /// Writes `bytes` at `addr`.
+    /// Writes `bytes` at `addr`, materializing zeroed pages as needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` lies below the heap base.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
+        assert!(
+            addr >= self.base,
+            "write at {addr:#x} below the heap base {:#x}",
+            self.base
+        );
         let mut done = 0;
         while done < bytes.len() {
             let a = addr + done as u64;
-            let page = a / PAGE as u64;
             let off = (a % PAGE as u64) as usize;
             let take = (bytes.len() - done).min(PAGE - off);
-            let p = self.pages.entry(page).or_insert_with(|| vec![0u8; PAGE]);
+            let idx = self.page_index(a).expect("address at or above the base");
+            if idx >= self.pages.len() {
+                self.pages.resize_with(idx + 1, || None);
+            }
+            let p = self.pages[idx].get_or_insert_with(|| {
+                vec![0u8; PAGE]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("PAGE bytes")
+            });
             p[off..off + take].copy_from_slice(&bytes[done..done + take]);
             done += take;
         }
@@ -112,7 +152,9 @@ impl PersistentHeap {
     /// Reads a little-endian `u64` at `addr`.
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8).try_into().expect("8 bytes"))
+        let mut word = [0u8; 8];
+        self.read_into(addr, &mut word);
+        u64::from_le_bytes(word)
     }
 
     /// Writes a little-endian `u64` at `addr`.
@@ -123,7 +165,7 @@ impl PersistentHeap {
     /// Number of materialized backing pages (memory footprint check).
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -175,6 +217,75 @@ mod tests {
         h.write_u64(16, 0x0102_0304_0506_0708);
         assert_eq!(h.read_u64(8), u64::MAX);
         assert_eq!(h.read_u64(16), 0x0102_0304_0506_0708);
+    }
+
+    #[test]
+    fn read_into_spans_a_page_boundary() {
+        let mut h = PersistentHeap::new(0x1000);
+        let addr = 0x1000 + PAGE as u64 - 5;
+        let bytes: Vec<u8> = (1..=12).collect();
+        h.write(addr, &bytes);
+        let mut out = [0xffu8; 12];
+        h.read_into(addr, &mut out);
+        assert_eq!(out.as_slice(), bytes.as_slice());
+        assert_eq!(
+            h.read_u64(addr + 1),
+            u64::from_le_bytes([2, 3, 4, 5, 6, 7, 8, 9])
+        );
+    }
+
+    #[test]
+    fn read_into_zeroes_never_written_pages() {
+        let mut h = PersistentHeap::new(0x1000);
+        h.write_u64(0x1000, 7);
+        // A page past the materialized ones and a hole between two
+        // materialized pages both read as zero, overwriting `out`.
+        h.write_u64(0x1000 + 3 * PAGE as u64, 9);
+        for addr in [0x1000 + PAGE as u64, 0x1000 + 5 * PAGE as u64] {
+            let mut out = [0xffu8; 32];
+            h.read_into(addr, &mut out);
+            assert_eq!(out, [0; 32], "{addr:#x}");
+        }
+        assert_eq!(h.resident_pages(), 2);
+    }
+
+    #[test]
+    fn read_into_far_address_reads_zero_without_materializing() {
+        let mut h = PersistentHeap::new(0x1000_0000);
+        h.write_u64(0x1000_0000, 1);
+        let mut out = [0xffu8; 16];
+        h.read_into(u64::MAX - 16, &mut out);
+        assert_eq!(out, [0; 16]);
+        h.read_into(0x1000_0000 + (1 << 40), &mut out);
+        assert_eq!(out, [0; 16]);
+        assert_eq!(h.resident_pages(), 1);
+    }
+
+    #[test]
+    fn far_write_materializes_only_its_page() {
+        let mut h = PersistentHeap::new(0x1000_0000);
+        let far = 0x1000_0000 + (1 << 30) + 3;
+        h.write_u64(far, 0xfeed);
+        assert_eq!(h.read_u64(far), 0xfeed);
+        assert_eq!(h.resident_pages(), 1);
+    }
+
+    #[test]
+    fn reads_below_base_are_zero() {
+        let mut h = PersistentHeap::new(0x2000 + 8);
+        h.write_u64(0x2008, u64::MAX);
+        let mut out = [0xffu8; 16];
+        // Straddles the base: the 8 bytes below it read as zero.
+        h.read_into(0x2000, &mut out);
+        assert_eq!(out[..8], [0; 8]);
+        assert_eq!(out[8..], [0xff; 8]);
+        assert_eq!(h.read_u64(0x10), 0, "a page below the base page");
+    }
+
+    #[test]
+    #[should_panic(expected = "below the heap base")]
+    fn write_below_base_panics() {
+        PersistentHeap::new(0x2000).write_u64(0x1ff8, 1);
     }
 
     #[test]

@@ -186,6 +186,8 @@ pub struct TxRuntime {
     /// would capture an intermediate value, which is both wasted write
     /// bandwidth and an undo-replay hazard).
     logged_ranges: Vec<(u64, u64)>,
+    /// Reused buffer that undo records and value blobs are built in.
+    scratch: Vec<u8>,
     undo_dedup: bool,
     tracing: bool,
     stats: RuntimeStats,
@@ -214,6 +216,7 @@ impl TxRuntime {
             in_tx: false,
             stores_in_tx: 0,
             logged_ranges: Vec::new(),
+            scratch: Vec::new(),
             undo_dedup: true,
             tracing: true,
             stats: RuntimeStats::default(),
@@ -281,8 +284,8 @@ impl TxRuntime {
         self.classes.push(class);
     }
 
-    /// Reads `len` bytes, recording the access.
-    pub fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+    /// Records a read of `[addr, addr+len)` (only while tracing).
+    fn record_read(&mut self, addr: u64, len: usize) {
         if self.tracing {
             self.push_op(
                 TraceOp::Read {
@@ -292,12 +295,25 @@ impl TxRuntime {
                 OpClass::Read,
             );
         }
-        self.heap.read(addr, len)
+    }
+
+    /// Fills `out` with the bytes at `addr`, recording the access.
+    pub fn read_into(&mut self, addr: u64, out: &mut [u8]) {
+        self.record_read(addr, out.len());
+        self.heap.read_into(addr, out);
+    }
+
+    /// Reads `len` bytes into a new vector, recording the access.
+    pub fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
+        out
     }
 
     /// Reads a `u64`, recording the access.
     pub fn read_u64(&mut self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8).try_into().expect("8 bytes"))
+        self.record_read(addr, 8);
+        self.heap.read_u64(addr)
     }
 
     fn raw_store(&mut self, addr: u64, bytes: &[u8], class: OpClass) {
@@ -323,11 +339,13 @@ impl TxRuntime {
             self.log_head = 0; // circular; validity is bounded by the commit record
         }
         let dst = self.log_base + self.log_head;
-        let old = self.heap.read(addr, len);
-        let mut rec = Vec::with_capacity(16 + len);
+        // Header then the old bytes, read straight into the reused buffer.
+        let mut rec = std::mem::take(&mut self.scratch);
+        rec.clear();
         rec.extend_from_slice(&addr.to_le_bytes());
         rec.extend_from_slice(&(len as u64).to_le_bytes());
-        rec.extend_from_slice(&old);
+        rec.resize(LOG_HDR as usize + len, 0);
+        self.heap.read_into(addr, &mut rec[LOG_HDR as usize..]);
         self.raw_store(
             dst,
             &rec,
@@ -336,6 +354,7 @@ impl TxRuntime {
                 guard_len: len as u32,
             },
         );
+        self.scratch = rec;
         self.log_head += need;
         self.stats.log_appends += 1;
     }
@@ -378,6 +397,18 @@ impl TxRuntime {
     /// Writes a `u64` to fresh memory.
     pub fn write_new_u64(&mut self, addr: u64, v: u64) {
         self.write_new(addr, &v.to_le_bytes());
+    }
+
+    /// Allocates a `size`-byte value blob and fills it, as fresh memory,
+    /// with the byte pattern `fill + i` (wrapping). Returns its address.
+    pub fn write_new_blob(&mut self, size: usize, fill: u64) -> u64 {
+        let blob = self.alloc(size as u64);
+        let mut bytes = std::mem::take(&mut self.scratch);
+        bytes.clear();
+        bytes.extend((0..size).map(|i| (fill as u8).wrapping_add(i as u8)));
+        self.write_new(blob, &bytes);
+        self.scratch = bytes;
+        blob
     }
 
     /// Commits: writes the commit record and emits the persist barrier.

@@ -22,6 +22,13 @@ cargo test -q --locked -p thoth-workloads
 echo "== thoth-workloads clippy (deny warnings) =="
 cargo clippy -p thoth-workloads --all-targets --locked -- -D warnings
 
+echo "== sim-engine / sim / experiments tests (warm_start, telemetry, determinism) =="
+cargo test -q --locked -p thoth-sim-engine -p thoth-sim -p thoth-experiments
+
+echo "== sim-engine / sim / experiments / bench clippy (deny warnings) =="
+cargo clippy -p thoth-sim-engine -p thoth-sim -p thoth-experiments -p thoth-bench \
+    --all-targets --locked -- -D warnings
+
 echo "== thoth-lint (repo invariants) =="
 cargo run -q --release --locked -p thoth-lint
 

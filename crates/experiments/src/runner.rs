@@ -165,8 +165,7 @@ impl CostClock {
 /// upper bound on makespan — the expensive jobs start while every worker
 /// still has company, so the schedule's tail is at most one cheap job
 /// long. Reordering only changes wall-clock, never results (each
-/// simulation is independent and results return in submission order);
-/// the move count feeds the `jobs_lpt_reordered` telemetry counter.
+/// simulation is independent and results return in submission order).
 ///
 /// Each completed job logs one progress line (key + estimated and actual
 /// wall-clock) to stderr so long sweeps are observable.
@@ -182,8 +181,6 @@ pub fn run_jobs<K: Send + std::fmt::Debug>(jobs: Vec<Job<K>>) -> Vec<(K, SimRepo
     let mut order: Vec<(usize, Job<K>)> = jobs.into_iter().enumerate().collect();
     // Stable sort, descending cost: equal-cost jobs keep submission order.
     order.sort_by_key(|(_, job)| std::cmp::Reverse(job_cost(job)));
-    let moved = order.iter().enumerate().filter(|(slot, (i, _))| slot != i).count();
-    thoth_telemetry::progress::note_jobs_lpt_reordered(moved as u64);
     let queue: Mutex<VecDeque<(usize, Job<K>)>> = Mutex::new(order.into());
     let clock: Mutex<CostClock> = Mutex::new(CostClock::default());
     let done = AtomicUsize::new(0);

@@ -4,10 +4,17 @@
 //!    sequential replay of the same jobs, and
 //! 2. the quick-mode headline matrix digests to a pinned golden value,
 //!    captured before the hot-path optimizations landed — so "faster" can
-//!    never silently become "different".
+//!    never silently become "different", and
+//! 3. per-run telemetry depends only on the run, not on process state
+//!    left behind by earlier job batches.
 
+use std::sync::Arc;
 use thoth_experiments::headline::{matrix_digest, matrix_jobs, HeadlineRuns};
-use thoth_experiments::runner::{run_jobs, run_jobs_sequential, ExpSettings, TraceCache};
+use thoth_experiments::runner::{
+    run_jobs, run_jobs_sequential, sim_config, ExpSettings, Job, TraceCache,
+};
+use thoth_sim::{Mode, SecureNvm, TelemetryConfig};
+use thoth_workloads::WorkloadKind;
 
 /// Golden digest of the quick-settings headline matrix (5 workloads ×
 /// {128, 256} B × 4 modes at `ExpSettings::quick()`), captured on the
@@ -57,4 +64,25 @@ fn quick_headline_matches_golden_snapshot() {
          simulated behaviour was intentionally changed, re-pin \
          GOLDEN_QUICK_DIGEST and say why in the commit message."
     );
+}
+
+#[test]
+fn telemetry_counters_ignore_earlier_job_batches() {
+    let mut cache = TraceCache::new(ExpSettings::quick());
+    let trace = cache.get(WorkloadKind::Swap, 64);
+    let counters = || {
+        let mut m = SecureNvm::new(sim_config(Mode::thoth_wtsc(), 128));
+        let (_, telem) = m.run_telemetry(&trace, &TelemetryConfig::counters_only());
+        telem.registry.counters_csv()
+    };
+    let before = counters();
+    // Submitted cheapest-first: with two or more workers the scheduler
+    // pulls the Thoth job (higher cost weight) ahead of the baseline one.
+    let jobs = [Mode::baseline(), Mode::thoth_wtsc()].map(|mode| Job {
+        key: mode.label(),
+        config: sim_config(mode, 128),
+        trace: Arc::clone(&trace),
+    });
+    let _ = run_jobs(jobs.into());
+    assert_eq!(before, counters(), "a job batch leaked into telemetry");
 }

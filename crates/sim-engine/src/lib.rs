@@ -5,28 +5,27 @@
 //!
 //! * [`Cycle`] — a strongly-typed simulation timestamp with nanosecond
 //!   conversions at a configurable clock frequency,
-//! * [`EventQueue`] — a stable-order discrete-event queue (bucketed
-//!   calendar queue; [`HeapEventQueue`] is the reference implementation),
+//! * [`CoalescedEventQueue`] — the per-bank NVM completion scoreboard
+//!   (one `(cycle, lane bitmask)` entry per cycle; [`HeapEventQueue`] is
+//!   its stable-order reference implementation),
 //! * [`fastmap`] — deterministic multiplicative hashing ([`FastMap`],
 //!   [`FastSet`]) for the simulator's address-keyed hot maps,
-//! * [`stats`] — lightweight counters and histograms used for all
-//!   paper-facing metrics,
 //! * [`rng`] — a deterministic, seedable random-number generator so every
 //!   experiment in the paper reproduction is bit-for-bit repeatable.
 //!
 //! # Example
 //!
 //! ```
-//! use thoth_sim_engine::{Cycle, EventQueue};
+//! use thoth_sim_engine::{CoalescedEventQueue, Cycle};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(Cycle(20), "late");
-//! q.schedule(Cycle(10), "early");
-//! q.schedule(Cycle(10), "early-second"); // same cycle: FIFO order
+//! let mut q = CoalescedEventQueue::new();
+//! q.schedule(Cycle(20), 1);
+//! q.schedule(Cycle(10), 0);
+//! q.schedule(Cycle(10), 3); // same cycle: merged into one bitmask entry
 //!
-//! assert_eq!(q.pop(), Some((Cycle(10), "early")));
-//! assert_eq!(q.pop(), Some((Cycle(10), "early-second")));
-//! assert_eq!(q.pop(), Some((Cycle(20), "late")));
+//! assert_eq!(q.pop_due(Cycle(5)), None);
+//! assert_eq!(q.pop_due(Cycle(10)), Some((Cycle(10), 0b1001)));
+//! assert_eq!(q.pop(), Some((Cycle(20), 0b10)));
 //! assert_eq!(q.pop(), None);
 //! ```
 
@@ -36,10 +35,8 @@ pub mod clock;
 pub mod events;
 pub mod fastmap;
 pub mod rng;
-pub mod stats;
 
 pub use clock::{Cycle, Frequency};
-pub use events::{CoalescedEventQueue, EventQueue, HeapEventQueue};
+pub use events::{CoalescedEventQueue, HeapEventQueue};
 pub use fastmap::{FastMap, FastSet};
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, StatsRegistry};

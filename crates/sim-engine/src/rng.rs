@@ -150,13 +150,14 @@ mod tests {
     fn gen_range_roughly_uniform() {
         let mut r = DetRng::seed_from(5);
         let mut buckets = [0u32; 10];
-        let n = 100_000;
+        let n = 100_000u32;
         for _ in 0..n {
             buckets[r.gen_range(10) as usize] += 1;
         }
         for &b in &buckets {
-            let expected = n as f64 / 10.0;
-            assert!((b as f64 - expected).abs() < expected * 0.05, "bucket {b}");
+            let expected = f64::from(n) / 10.0;
+            let off = (f64::from(b) - expected).abs();
+            assert!(off < expected * 0.05, "bucket {b}");
         }
     }
 

@@ -115,6 +115,9 @@ pub struct CrashControl {
     plan: Option<CrashPlan>,
     counts: CrashSiteCounts,
     fired: bool,
+    /// Execution-order log of durably-ACKed operations for an external
+    /// oracle; only armed controls record (an observer run has no oracle).
+    log: Vec<LoggedOp>,
 }
 
 impl CrashControl {
@@ -123,8 +126,7 @@ impl CrashControl {
     pub fn armed(plan: CrashPlan) -> Self {
         CrashControl {
             plan: Some(plan),
-            counts: CrashSiteCounts::default(),
-            fired: false,
+            ..Self::observer()
         }
     }
 
@@ -135,7 +137,28 @@ impl CrashControl {
             plan: None,
             counts: CrashSiteCounts::default(),
             fired: false,
+            log: Vec::new(),
         }
+    }
+
+    /// Logs one durably-ACKed operation (armed controls only).
+    pub(crate) fn log(&mut self, op: LoggedOp) {
+        if self.plan.is_some() {
+            self.log.push(op);
+        }
+    }
+
+    /// One completed persistent store: logs it and taps the
+    /// [`CrashSiteKind::Persist`] anchor. Returns [`Self::fired`].
+    pub(crate) fn persist(&mut self, op: LoggedOp) -> bool {
+        self.log(op);
+        self.tap(CrashSiteKind::Persist);
+        self.fired
+    }
+
+    /// Takes the durably-ACKed operation log recorded so far.
+    pub(crate) fn take_log(&mut self) -> Vec<LoggedOp> {
+        std::mem::take(&mut self.log)
     }
 
     /// Records one event of `site`; arms the crash if it is the planned one.

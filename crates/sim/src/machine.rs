@@ -39,6 +39,7 @@ const PREFILL_POOL: usize = 8192;
 /// The full machine. See the crate docs for the overall structure.
 /// `pub(crate)` fields are the surface the [`crate::mechanism`] seam
 /// works against.
+#[derive(Clone)]
 pub struct SecureNvm {
     pub(crate) config: SimConfig,
     pub(crate) layout: MemoryLayout,
@@ -68,11 +69,9 @@ pub struct SecureNvm {
     /// Thoth/after-WPQ: partial updates absorbed by pending WPQ entries.
     pub(crate) pcb_wpq_bypass: u64,
     transactions: u64,
-    /// Armed (or observing) crash trigger; `None` in normal runs.
+    /// Armed (or observing) crash trigger plus the armed run's
+    /// durably-ACKed op log; `None` in normal runs.
     crash_ctl: Option<CrashControl>,
-    /// Execution-order log of durably-ACKed operations, kept only while a
-    /// crash run wants an external oracle to replay them.
-    op_log: Option<Vec<LoggedOp>>,
     /// Persist-event recorder for the sanitizer; `None` in normal runs.
     psan: Option<PsanRecorder>,
     /// Telemetry session; `None` in normal runs (every hook is gated on
@@ -84,10 +83,6 @@ pub struct SecureNvm {
     /// Blocks holding relaxed-store data not yet written back (volatile
     /// dirty lines awaiting a `Flush`).
     relaxed_pending: FastSet<u64>,
-    /// How many warm-start clones separate this machine from a cold
-    /// [`Self::new`] (0 for cold machines, 1 for [`WarmBoot`] clones) —
-    /// harvested as the `warm_starts` telemetry counter.
-    warm_starts: u64,
 }
 
 /// A post-warm-up machine image: the state of [`SecureNvm::run`] right
@@ -101,8 +96,6 @@ pub struct WarmBoot {
     cores: Vec<CoreState>,
     boundary: Cycle,
     snap: Snapshot,
-    /// Measured runs served (the `warm_starts` harness counter).
-    starts: std::cell::Cell<u64>,
 }
 
 impl WarmBoot {
@@ -111,17 +104,9 @@ impl WarmBoot {
     /// — the core cursors index into it.
     #[must_use]
     pub fn run(&self, trace: &MultiCoreTrace) -> SimReport {
-        self.starts.set(self.starts.get() + 1);
-        let mut machine = self.machine.clone_warm();
+        let mut machine = self.machine.clone();
         let mut cores = self.cores.clone();
-        let snap = self.snap.clone();
-        machine.run_measured(trace, &mut cores, self.boundary, &snap)
-    }
-
-    /// How many measured runs this snapshot has served.
-    #[must_use]
-    pub fn starts(&self) -> u64 {
-        self.starts.get()
+        machine.run_measured(trace, &mut cores, self.boundary, &self.snap)
     }
 }
 
@@ -196,12 +181,10 @@ impl SecureNvm {
             pcb_wpq_bypass: 0,
             transactions: 0,
             crash_ctl: None,
-            op_log: None,
             psan: None,
             telem: None,
             service: None,
             relaxed_pending: FastSet::default(),
-            warm_starts: 0,
             config,
         }
     }
@@ -728,7 +711,6 @@ impl SecureNvm {
     pub fn warm_boot(mut self, trace: &MultiCoreTrace) -> WarmBoot {
         assert!(
             self.crash_ctl.is_none()
-                && self.op_log.is_none()
                 && self.psan.is_none()
                 && self.telem.is_none()
                 && self.service.is_none(),
@@ -740,40 +722,6 @@ impl SecureNvm {
             cores,
             boundary,
             snap,
-            starts: std::cell::Cell::new(0),
-        }
-    }
-
-    /// A deep copy of the boundary state for one warm-started measured
-    /// run. Instrumentation fields are `None` by the [`Self::warm_boot`]
-    /// precondition, so every field clones structurally.
-    fn clone_warm(&self) -> SecureNvm {
-        SecureNvm {
-            config: self.config.clone(),
-            layout: self.layout,
-            nvm: self.nvm.clone(),
-            wpq: self.wpq.clone(),
-            ctr_mode: self.ctr_mode.clone(),
-            mac: self.mac.clone(),
-            ctr_cache: self.ctr_cache.clone(),
-            mac_cache: self.mac_cache.clone(),
-            mt_cache: self.mt_cache.clone(),
-            llc: self.llc.clone(),
-            tree: self.tree.clone(),
-            shadow: self.shadow.clone(),
-            shadow_writes_emitted: self.shadow_writes_emitted,
-            thoth: self.thoth.clone(),
-            data_versions: self.data_versions.clone(),
-            prefill_pool: self.prefill_pool.clone(),
-            pcb_wpq_bypass: self.pcb_wpq_bypass,
-            transactions: self.transactions,
-            crash_ctl: None,
-            op_log: None,
-            psan: None,
-            telem: None,
-            service: None,
-            relaxed_pending: self.relaxed_pending.clone(),
-            warm_starts: self.warm_starts + 1,
         }
     }
 
@@ -784,22 +732,7 @@ impl SecureNvm {
     /// Events produced by the final background WPQ drain carry the
     /// [`NO_CTX`] context.
     pub fn run_psan(&mut self, trace: &MultiCoreTrace) -> (SimReport, Vec<PersistEvent>) {
-        self.wpq.record_events(true);
-        self.psan = Some(PsanRecorder::new());
-        let report = self.run(trace);
-        // The tail drain in `run` buffered events after the last op.
-        if let Some(p) = self.psan.as_mut() {
-            p.set_ctx(NO_CTX, NO_CTX);
-        }
-        self.pump_wpq_events();
-        self.wpq.record_events(false);
-        self.wpq.set_origin(0);
-        let events = self
-            .psan
-            .take()
-            .expect("recorder installed above")
-            .into_events();
-        (report, events)
+        self.with_psan(|m| m.run(trace))
     }
 
     /// [`Self::run_to_crash`] with persist-event instrumentation: replays
@@ -817,18 +750,17 @@ impl SecureNvm {
         trace: &MultiCoreTrace,
         plan: CrashPlan,
     ) -> (bool, Vec<PersistEvent>) {
-        assert!(
-            self.config.functional == FunctionalMode::Full,
-            "crash testing requires FunctionalMode::Full"
-        );
+        self.with_psan(|m| m.run_to_crash(trace, plan))
+    }
+
+    /// Runs `body` with the persist-event recorder installed and returns
+    /// its result plus the recorded stream.
+    fn with_psan<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> (R, Vec<PersistEvent>) {
         self.wpq.record_events(true);
         self.psan = Some(PsanRecorder::new());
-        self.crash_ctl = Some(CrashControl::armed(plan));
-        self.op_log = Some(Vec::new());
-        let mut cores = Self::fresh_cores(trace);
-        self.replay(trace, &mut cores, None);
-        let fired = self.crash_ctl.as_ref().is_some_and(CrashControl::fired);
-        // Events buffered by the op that crashed (or the trace tail).
+        let out = body(self);
+        // Events buffered after the last op (the tail drain in `run`, or
+        // the op that crashed) belong to no op.
         if let Some(p) = self.psan.as_mut() {
             p.set_ctx(NO_CTX, NO_CTX);
         }
@@ -840,7 +772,7 @@ impl SecureNvm {
             .take()
             .expect("recorder installed above")
             .into_events();
-        (fired, events)
+        (out, events)
     }
 
     /// Runs `trace` with the observability layer enabled per `tcfg`,
@@ -905,8 +837,6 @@ impl SecureNvm {
             self.tree.batch_runs() + self.mac.batch_runs(),
             self.nvm.bank_events_coalesced(),
             self.tree.simd_rows() + self.mac.simd_rows(),
-            self.warm_starts,
-            thoth_telemetry::progress::jobs_lpt_reordered(),
         );
         (report, tm.sink.finish())
     }
@@ -984,14 +914,11 @@ impl SecureNvm {
     /// Replays ops; with `tx_limit` set, each core stops after that many
     /// transactions (the warm-up boundary).
     ///
-    /// Cores interleave through the discrete-event queue: each core is an
-    /// event scheduled at its next-issue cycle; ties resolve in FIFO
-    /// (scheduling) order, deterministically.
+    /// Cores interleave by an argmin scheduler: each core has at most one
+    /// outstanding wake-up, a `(cycle, seq)` slot, and the earliest slot
+    /// issues next; `seq` (wake-up order) breaks cycle ties, so the
+    /// interleaving is deterministic.
     fn replay(&mut self, trace: &MultiCoreTrace, cores: &mut [CoreState], tx_limit: Option<usize>) {
-        // Core scheduler: each core has at most one outstanding wake-up,
-        // so a per-core (cycle, seq) slot with an argmin scan replaces a
-        // general event queue. Pop order is exactly the old queue's
-        // `(at, seq)` order (seq = schedule order breaks cycle ties).
         let mut at: Vec<Cycle> = vec![Cycle::ZERO; cores.len()];
         let mut seq: Vec<u64> = vec![u64::MAX; cores.len()];
         let mut next_seq: u64 = 0;
@@ -1076,15 +1003,8 @@ impl SecureNvm {
                         // next block.
                         ack = ack.max(self.store_block(t, block));
                         t += self.config.compute_gap_cycles;
-                        let index = self.layout.block_index(block);
-                        if let Some(log) = self.op_log.as_mut() {
-                            log.push(LoggedOp::Store { core: ci, block: index });
-                        }
-                        if let Some(ctl) = self.crash_ctl.as_mut() {
-                            ctl.tap(CrashSiteKind::Persist);
-                            if ctl.fired() {
-                                break;
-                            }
+                        if self.crash_persist(ci, block) {
+                            break;
                         }
                         block += bs;
                     }
@@ -1129,15 +1049,8 @@ impl SecureNvm {
                         if pending {
                             ack = ack.max(self.store_block(t, block));
                             t += self.config.compute_gap_cycles;
-                            let index = self.layout.block_index(block);
-                            if let Some(log) = self.op_log.as_mut() {
-                                log.push(LoggedOp::Store { core: ci, block: index });
-                            }
-                            if let Some(ctl) = self.crash_ctl.as_mut() {
-                                ctl.tap(CrashSiteKind::Persist);
-                                if ctl.fired() {
-                                    break;
-                                }
+                            if self.crash_persist(ci, block) {
+                                break;
                             }
                         } else {
                             // Clean line: the write-back is a no-op.
@@ -1165,8 +1078,8 @@ impl SecureNvm {
                     cores[ci].pending_ack = Cycle::ZERO;
                     cores[ci].txs_done += 1;
                     self.transactions += 1;
-                    if let Some(log) = self.op_log.as_mut() {
-                        log.push(LoggedOp::Commit { core: ci });
+                    if let Some(ctl) = self.crash_ctl.as_mut() {
+                        ctl.log(LoggedOp::Commit { core: ci });
                     }
                 }
             }
@@ -1231,7 +1144,6 @@ impl SecureNvm {
         }
     }
 
-    /// Block-aligned addresses spanned by `[addr, addr+len)`.
     /// `(first_block, last_block, block_bytes)` of the span `[addr,
     /// addr + len)` — callers walk `first..=last` in `block_bytes` steps.
     fn block_span(&self, addr: u64, len: u32) -> (u64, u64, u64) {
@@ -1371,10 +1283,8 @@ impl SecureNvm {
     /// observer mode, returning how many crash-anchor events of each kind
     /// the workload exposes — the population the crash sweep samples from.
     pub fn enumerate_crash_sites(&mut self, trace: &MultiCoreTrace) -> CrashSiteCounts {
-        self.crash_ctl = Some(CrashControl::observer());
-        let mut cores = Self::fresh_cores(trace);
-        self.replay(trace, &mut cores, None);
-        self.crash_ctl.take().expect("just set").counts()
+        self.replay_whole(trace, CrashControl::observer());
+        self.crash_ctl.take().expect("installed by replay_whole").counts()
     }
 
     /// Replays the trace until the planned crash point fires, logging every
@@ -1393,11 +1303,29 @@ impl SecureNvm {
             self.config.functional == FunctionalMode::Full,
             "crash testing requires FunctionalMode::Full"
         );
-        self.crash_ctl = Some(CrashControl::armed(plan));
-        self.op_log = Some(Vec::new());
+        self.replay_whole(trace, CrashControl::armed(plan));
+        self.crash_ctl.as_ref().is_some_and(CrashControl::fired)
+    }
+
+    /// Replays the whole trace from fresh cores (warm-up included, no
+    /// phase split) under crash control `ctl`, which stays installed.
+    fn replay_whole(&mut self, trace: &MultiCoreTrace, ctl: CrashControl) {
+        self.crash_ctl = Some(ctl);
         let mut cores = Self::fresh_cores(trace);
         self.replay(trace, &mut cores, None);
-        self.crash_ctl.as_ref().is_some_and(CrashControl::fired)
+    }
+
+    /// Crash hook after core `core` completed a persistent store to
+    /// `block`: logs the store for the oracle and taps the persist anchor.
+    /// Returns `true` once power has failed.
+    fn crash_persist(&mut self, core: usize, block: u64) -> bool {
+        let Some(ctl) = self.crash_ctl.as_mut() else {
+            return false;
+        };
+        ctl.persist(LoggedOp::Store {
+            core,
+            block: self.layout.block_index(block),
+        })
     }
 
     fn fresh_cores(trace: &MultiCoreTrace) -> Vec<CoreState> {
@@ -1415,7 +1343,10 @@ impl SecureNvm {
     /// The durably-ACKed operation log of the last [`Self::run_to_crash`],
     /// in execution order. Empty if no crash run logged anything.
     pub fn take_op_log(&mut self) -> Vec<LoggedOp> {
-        self.op_log.take().unwrap_or_default()
+        self.crash_ctl
+            .as_mut()
+            .map(CrashControl::take_log)
+            .unwrap_or_default()
     }
 
     /// The crash plan currently armed, if any.

@@ -156,7 +156,7 @@ impl MetaMech {
 }
 
 /// Accumulates the persist-event stream during an instrumented run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PsanRecorder {
     events: Vec<PersistEvent>,
     core: u32,

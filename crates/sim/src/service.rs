@@ -78,7 +78,7 @@ impl ServiceReport {
 
 /// The replay-time state of one service run (installed on the machine by
 /// [`crate::SecureNvm::run_service`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ServiceSession {
     cursors: Vec<CoreCursor>,
     latency: Hist,

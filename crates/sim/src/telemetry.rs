@@ -36,6 +36,7 @@ struct OpStat {
 }
 
 /// One run's telemetry state, owned by the machine while instrumented.
+#[derive(Clone)]
 pub struct MachineTelemetry {
     /// The underlying sink (registry + timeline + tracer).
     pub sink: TelemetrySink,
@@ -53,8 +54,6 @@ pub struct MachineTelemetry {
     hash_batch_runs: CounterId,
     bank_events_coalesced: CounterId,
     sip_simd_rows: CounterId,
-    warm_starts: CounterId,
-    jobs_lpt_reordered: CounterId,
     core_lanes: Vec<u32>,
     mc_lane: u32,
     pub_lane: u32,
@@ -86,8 +85,6 @@ impl MachineTelemetry {
         let hash_batch_runs = sink.registry.counter("hash_batch_runs");
         let bank_events_coalesced = sink.registry.counter("bank_events_coalesced");
         let sip_simd_rows = sink.registry.counter("sip_simd_rows");
-        let warm_starts = sink.registry.counter("warm_starts");
-        let jobs_lpt_reordered = sink.registry.counter("jobs_lpt_reordered");
         let (core_lanes, mc_lane, pub_lane) = match sink.tracer.as_mut() {
             Some(t) => {
                 let lanes: Vec<u32> = (0..cores)
@@ -113,8 +110,6 @@ impl MachineTelemetry {
             hash_batch_runs,
             bank_events_coalesced,
             sip_simd_rows,
-            warm_starts,
-            jobs_lpt_reordered,
             core_lanes,
             mc_lane,
             pub_lane,
@@ -172,20 +167,15 @@ impl MachineTelemetry {
     /// Harvests the substrate throughput counters at session end: AES
     /// blocks encrypted by the hardware backend, batched hash-kernel
     /// invocations (merkle + MAC), NVM bank completions coalesced into
-    /// shared scoreboard entries, SipHash rows that went through the
-    /// multi-lane SIMD kernel, warm-start generations of the machine, and
-    /// jobs the harness's LPT scheduler reordered. These are read once
-    /// from the engines rather than recorded per event — the hot paths
-    /// stay telemetry-free.
-    #[allow(clippy::too_many_arguments)]
+    /// shared scoreboard entries, and SipHash rows that went through the
+    /// multi-lane SIMD kernel. These are read once from the engines rather
+    /// than recorded per event — the hot paths stay telemetry-free.
     pub fn record_substrate_counters(
         &mut self,
         aes_hw_blocks: u64,
         hash_batch_runs: u64,
         bank_events_coalesced: u64,
         sip_simd_rows: u64,
-        warm_starts: u64,
-        jobs_lpt_reordered: u64,
     ) {
         self.sink.registry.add(self.aes_hw_blocks, aes_hw_blocks);
         self.sink.registry.add(self.hash_batch_runs, hash_batch_runs);
@@ -193,10 +183,6 @@ impl MachineTelemetry {
             .registry
             .add(self.bank_events_coalesced, bank_events_coalesced);
         self.sink.registry.add(self.sip_simd_rows, sip_simd_rows);
-        self.sink.registry.add(self.warm_starts, warm_starts);
-        self.sink
-            .registry
-            .add(self.jobs_lpt_reordered, jobs_lpt_reordered);
     }
 
     /// Records a WPQ drain, closing the entry's residency interval.

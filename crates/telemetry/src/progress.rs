@@ -7,27 +7,7 @@
 
 use std::fmt::Debug;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Process-wide count of jobs the experiments runner's longest-
-/// processing-time-first scheduler moved ahead of their submission slot.
-/// Lives here (not in the runner) so instrumented runs can harvest it as
-/// the `jobs_lpt_reordered` telemetry counter without a dependency from
-/// the simulator on the experiment harness.
-static JOBS_LPT_REORDERED: AtomicU64 = AtomicU64::new(0);
-
-/// Records `n` more LPT-reordered jobs.
-pub fn note_jobs_lpt_reordered(n: u64) {
-    // Monotone statistic harvested once at session end; orders nothing.
-    JOBS_LPT_REORDERED.fetch_add(n, Ordering::Relaxed); // thoth-lint: allow(relaxed-atomic)
-}
-
-/// Total jobs moved by the LPT scheduler since process start.
-#[must_use]
-pub fn jobs_lpt_reordered() -> u64 {
-    JOBS_LPT_REORDERED.load(Ordering::Relaxed) // thoth-lint: allow(relaxed-atomic)
-}
 
 /// Where progress lines go.
 #[derive(Debug)]
@@ -111,14 +91,6 @@ mod tests {
         let line = &sink.lines()[0];
         assert!(line.contains("finished in 250"));
         assert!(line.contains("(est 230"), "estimate printed: {line}");
-    }
-
-    #[test]
-    fn lpt_counter_accumulates() {
-        let before = jobs_lpt_reordered();
-        note_jobs_lpt_reordered(3);
-        note_jobs_lpt_reordered(2);
-        assert_eq!(jobs_lpt_reordered() - before, 5);
     }
 
     #[test]

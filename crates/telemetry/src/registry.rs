@@ -151,7 +151,7 @@ impl Hist {
 }
 
 /// The dense stat registry: counters and histograms, registered by name.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: Vec<(&'static str, u64)>,
     hists: Vec<(&'static str, Hist)>,

@@ -28,7 +28,7 @@ pub struct ProbeSummary {
 }
 
 /// The mutable recording state for one instrumented run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TelemetrySink {
     config: TelemetryConfig,
     /// Counters and histograms.

@@ -396,7 +396,7 @@ mod tests {
         assert_eq!(pcb_cap, 18, "2 slots x 9 entries per 128 B block");
         e.attach_probes(
             QueueProbe::new("pcb", pcb_cap),
-            QueueProbe::new("pub", e.pub_buffer().capacity_blocks() as u64),
+            QueueProbe::new("pub", e.pub_buffer().capacity_blocks()),
         );
         for i in 0..19 {
             e.insert(pu(i, false), &mut h);

@@ -2,10 +2,10 @@
 //! live in EXPERIMENTS.md; these tests pin the *shapes* so regressions
 //! that would invalidate the reproduction fail CI).
 
-use thoth_repro::experiments::runner::{sim_config, ExpSettings, TraceCache};
-use thoth_repro::experiments::{fig3, gmean};
-use thoth_repro::sim::Mode;
-use thoth_repro::workloads::WorkloadKind;
+use thoth_experiments::runner::{sim_config, ExpSettings, TraceCache};
+use thoth_experiments::{fig3, gmean};
+use thoth_sim::Mode;
+use thoth_workloads::WorkloadKind;
 
 #[test]
 fn claim_large_pub_eliminates_most_writebacks() {
@@ -33,8 +33,8 @@ fn claim_thoth_beats_baseline_on_average() {
     let mut ratios = Vec::new();
     for kind in WorkloadKind::ALL {
         let trace = cache.get(kind, 128);
-        let base = thoth_repro::sim::run_trace(&sim_config(Mode::baseline(), 128), &trace);
-        let thoth = thoth_repro::sim::run_trace(&sim_config(Mode::thoth_wtsc(), 128), &trace);
+        let base = thoth_sim::run_trace(&sim_config(Mode::baseline(), 128), &trace);
+        let thoth = thoth_sim::run_trace(&sim_config(Mode::thoth_wtsc(), 128), &trace);
         speedups.push(thoth.speedup_over(&base));
         ratios.push(thoth.write_ratio_vs(&base));
     }
@@ -61,8 +61,8 @@ fn claim_smaller_wpq_amplifies_thoth() {
         let mut t = sim_config(Mode::thoth_wtsc(), 128);
         t.wpq_entries = wpq;
         t.pcb_entries = (wpq / 8).max(1);
-        let base = thoth_repro::sim::run_trace(&b, &trace);
-        let thoth = thoth_repro::sim::run_trace(&t, &trace);
+        let base = thoth_sim::run_trace(&b, &trace);
+        let thoth = thoth_sim::run_trace(&t, &trace);
         thoth.speedup_over(&base)
     };
     let s64 = speedup_at(64);
@@ -81,7 +81,7 @@ fn claim_pcb_merge_rate_falls_with_tx_size() {
     let mut cache = TraceCache::new(settings);
     let rate_at = |tx: usize, cache: &mut TraceCache| {
         let trace = cache.get(WorkloadKind::Btree, tx);
-        let r = thoth_repro::sim::run_trace(&sim_config(Mode::thoth_wtsc(), 128), &trace);
+        let r = thoth_sim::run_trace(&sim_config(Mode::thoth_wtsc(), 128), &trace);
         r.pcb_merge_fraction()
     };
     let small = rate_at(128, &mut cache);
@@ -95,7 +95,7 @@ fn claim_pcb_merge_rate_falls_with_tx_size() {
 #[test]
 fn claim_recovery_cost_model_matches_footnote() {
     // Section IV-D: ≈7 s to recover a full 64 MB PUB.
-    let model = thoth_repro::core::recovery::RecoveryCostModel::default();
+    let model = thoth_core::recovery::RecoveryCostModel::default();
     let secs = model.pub_recovery_secs((64 << 20) / 128, 9);
     assert!((5.0..10.0).contains(&secs), "{secs:.2} s");
 }
@@ -104,11 +104,11 @@ fn claim_recovery_cost_model_matches_footnote() {
 fn claim_pub_geometry_matches_paper() {
     // Section IV-A: 9 partial updates per 128 B block, 19 per 256 B.
     assert_eq!(
-        thoth_repro::core::PubBlockCodec::new(128).entries_per_block(),
+        thoth_core::PubBlockCodec::new(128).entries_per_block(),
         9
     );
     assert_eq!(
-        thoth_repro::core::PubBlockCodec::new(256).entries_per_block(),
+        thoth_core::PubBlockCodec::new(256).entries_per_block(),
         19
     );
 }

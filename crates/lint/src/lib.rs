@@ -6,8 +6,8 @@
 //!   `HashSet`: SipHash dominated simulator profiles before the switch,
 //!   and a stray `HashMap` in a hot path silently regresses it.
 //! * [`Rule::Println`] — no `println!`/`eprintln!` outside the designated
-//!   output crates (`thoth-experiments`, `thoth-bench`, `thoth-testkit`,
-//!   `thoth-lint`) and the diagnostics module: library crates must stay
+//!   output crates (`thoth-experiments`, `thoth-testkit`, `thoth-lint`)
+//!   and the diagnostics module: library crates must stay
 //!   silent so experiment output remains machine-parseable.
 //! * [`Rule::Unwrap`] — no `.unwrap()` in non-test library code: use
 //!   `.expect("why this cannot fail")` so panics carry their invariant.
@@ -126,7 +126,7 @@ pub const HOT_CRATES: [&str; 13] = [
 ];
 
 /// Crates allowed to print (their job is producing output).
-pub const OUTPUT_CRATES: [&str; 4] = ["experiments", "bench", "testkit", "lint"];
+pub const OUTPUT_CRATES: [&str; 3] = ["experiments", "testkit", "lint"];
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,7 +228,7 @@ pub fn blank_code(src: &str) -> String {
                     }
                     let open = k; // at the quote
                     let closer: Vec<u8> = std::iter::once(b'"')
-                        .chain(std::iter::repeat(b'#').take(hashes))
+                        .chain(std::iter::repeat_n(b'#', hashes))
                         .collect();
                     let rest = &b[open + 1..];
                     let end = rest
@@ -423,8 +423,8 @@ fn token_positions(text: &str, tok: &str) -> Vec<usize> {
     out
 }
 
-/// Recursively scans every `.rs` file under `root/crates/*/src` and
-/// `root/src`, returning all violations sorted by path and line.
+/// Recursively scans every `.rs` file under `root/crates/*/{src,tests}`,
+/// returning all violations sorted by path and line.
 ///
 /// # Errors
 ///
@@ -443,17 +443,13 @@ pub fn scan_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
                 .and_then(|n| n.to_str())
                 .unwrap_or("")
                 .to_string();
-            for (sub, test_tree) in [("src", false), ("tests", true), ("benches", true)] {
+            for (sub, test_tree) in [("src", false), ("tests", true)] {
                 let p = dir.join(sub);
                 if p.is_dir() {
                     collect_rs(&p, &crate_name, test_tree, &mut files)?;
                 }
             }
         }
-    }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        collect_rs(&root_src, "", false, &mut files)?;
     }
     files.sort();
 
@@ -550,7 +546,7 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|x| x.rule == Rule::Println));
         assert!(scan_source(src, "crates/sim/src/diagnostics.rs", "sim", false).is_empty());
-        assert!(scan_source(src, "crates/bench/src/main.rs", "bench", false).is_empty());
+        assert!(scan_source(src, "crates/testkit/src/lib.rs", "testkit", false).is_empty());
     }
 
     #[test]
@@ -620,15 +616,32 @@ mod tests {
         assert!(scan_source(src, "crates/core/tests/t.rs", "core", true).is_empty());
     }
 
+    /// The repository root (CARGO_MANIFEST_DIR = crates/lint).
+    fn repo_root() -> &'static Path {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("crates/lint has a repo root")
+    }
+
+    #[test]
+    fn root_manifest_is_a_virtual_workspace() {
+        // A root `[package]` narrows a bare `cargo test` / `cargo clippy`
+        // at the repo root to that one package, silently dropping every
+        // member crate's tests and lints from the gates.
+        let manifest =
+            fs::read_to_string(repo_root().join("Cargo.toml")).expect("root Cargo.toml");
+        assert!(
+            !manifest.lines().any(|l| l.trim() == "[package]"),
+            "the root Cargo.toml must stay a virtual workspace (no [package] table)"
+        );
+    }
+
     #[test]
     fn the_repo_is_clean() {
         // The lint's own acceptance test: the repository it lives in
-        // passes it. CARGO_MANIFEST_DIR = crates/lint.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(Path::parent)
-            .expect("crates/lint has a repo root");
-        let violations = scan_repo(root).expect("scan");
+        // passes it.
+        let violations = scan_repo(repo_root()).expect("scan");
         assert!(
             violations.is_empty(),
             "repo violates its own lints:\n{}",

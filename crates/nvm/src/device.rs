@@ -685,7 +685,7 @@ mod tests {
     #[test]
     fn completion_scoreboard_matches_bank_scan() {
         let mut d = dev();
-        let mut x: u64 = 0xc0ffee_0000_1234;
+        let mut x: u64 = 0x00c0_ffee_0000_1234;
         let mut now = 0u64;
         for step in 0..4000u64 {
             x ^= x << 13;
@@ -693,11 +693,11 @@ mod tests {
             x ^= x << 17;
             // Bursts of same-cycle accesses across banks force same-cycle
             // completions; occasional jumps drain everything.
-            if x % 4 == 0 {
+            if x.is_multiple_of(4) {
                 now += x % 3000;
             }
             let addr = (x >> 16) % (1 << 20);
-            let is_write = x % 2 == 0;
+            let is_write = x.is_multiple_of(2);
             d.time_access(Cycle(now), addr, is_write);
             assert_eq!(
                 d.tracked_busy_banks(Cycle(now)),

@@ -3,13 +3,13 @@
 //! verify everything — then show that tampering is detected.
 //!
 //! ```text
-//! cargo run --release --example crash_recovery
+//! cargo run --release -p thoth-sim --example crash_recovery
 //! ```
 
-use thoth_repro::sim::{FunctionalMode, Mode, SecureNvm, SimConfig};
-use thoth_repro::workloads::{spec, WorkloadConfig, WorkloadKind};
+use thoth_sim::{FunctionalMode, Mode, SecureNvm, SimConfig};
+use thoth_workloads::{spec, WorkloadConfig, WorkloadKind};
 
-fn machine_and_trace() -> (SecureNvm, thoth_repro::workloads::MultiCoreTrace) {
+fn machine_and_trace() -> (SecureNvm, thoth_workloads::MultiCoreTrace) {
     let mut wl = WorkloadConfig::paper_default(WorkloadKind::Btree).scaled(0.05);
     wl.footprint = 20_000;
     wl.prepopulate = 10_000;

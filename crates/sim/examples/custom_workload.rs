@@ -7,12 +7,12 @@
 //! structure on the simulator.
 //!
 //! ```text
-//! cargo run --release --example custom_workload
+//! cargo run --release -p thoth-sim --example custom_workload
 //! ```
 
-use thoth_repro::sim::{run_trace, Mode, SimConfig};
-use thoth_repro::sim_engine::DetRng;
-use thoth_repro::workloads::{MultiCoreTrace, TxRuntime};
+use thoth_sim::{run_trace, Mode, SimConfig};
+use thoth_sim_engine::DetRng;
+use thoth_workloads::{MultiCoreTrace, TxRuntime};
 
 /// A persistent MPSC-style ring buffer: fixed slots, head/tail indices
 /// stored persistently, every enqueue/dequeue is a durable transaction.

@@ -2,12 +2,12 @@
 //! through Thoth, and compare cycles and NVM write traffic.
 //!
 //! ```text
-//! cargo run --release --example quickstart [workload] [scale]
-//! # e.g.  cargo run --release --example quickstart hashmap 0.25
+//! cargo run --release -p thoth-sim --example quickstart [workload] [scale]
+//! # e.g.  cargo run --release -p thoth-sim --example quickstart hashmap 0.25
 //! ```
 
-use thoth_repro::sim::{run_trace, Mode, SimConfig};
-use thoth_repro::workloads::{spec, WorkloadConfig, WorkloadKind};
+use thoth_sim::{run_trace, Mode, SimConfig};
+use thoth_workloads::{spec, WorkloadConfig, WorkloadKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

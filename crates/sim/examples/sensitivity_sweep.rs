@@ -2,11 +2,11 @@
 //! and the secure metadata cache size (Figures 11 and 12 in miniature).
 //!
 //! ```text
-//! cargo run --release --example sensitivity_sweep
+//! cargo run --release -p thoth-sim --example sensitivity_sweep
 //! ```
 
-use thoth_repro::sim::{run_trace, Mode, SimConfig};
-use thoth_repro::workloads::{spec, WorkloadConfig, WorkloadKind};
+use thoth_sim::{run_trace, Mode, SimConfig};
+use thoth_workloads::{spec, WorkloadConfig, WorkloadKind};
 
 fn main() {
     let trace = spec::generate(

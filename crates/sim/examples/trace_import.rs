@@ -3,11 +3,11 @@
 //! Thoth. With no argument, a small built-in demo trace is used.
 //!
 //! ```text
-//! cargo run --release --example trace_import [trace.txt]
+//! cargo run --release -p thoth-sim --example trace_import [trace.txt]
 //! ```
 
-use thoth_repro::sim::{run_trace, Mode, SimConfig};
-use thoth_repro::workloads::trace_io;
+use thoth_sim::{run_trace, Mode, SimConfig};
+use thoth_workloads::trace_io;
 
 const DEMO: &str = "\
 # demo: two cores appending to logs and updating a shared-format table

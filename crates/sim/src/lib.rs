@@ -4,15 +4,22 @@
 //! Table I: 4 cores issuing persistent transactions into a secure memory
 //! controller (counter-mode encryption, two-level MACs, Bonsai Merkle
 //! Tree, counter/MAC/MT caches), an ADR-backed WPQ, and a banked PCM
-//! device — in one of three modes:
+//! device — under one of eight metadata-persistence mechanisms:
 //!
 //! * [`Mode::Baseline`] — Anubis adapted to emerging interfaces: strict
 //!   persistence of the full counter and MAC blocks with every data write
 //!   (no ECC bits to hide metadata in), WPQ coalescing with 50% drain.
-//! * [`Mode::Thoth`] — the paper's contribution: partial updates combined
-//!   in the PCB, buffered in the PUB, filtered at eviction by WTSC/WTBC.
+//! * [`Mode::Thoth`] (`thoth-wtsc`, `thoth-wtbc`) — the paper's
+//!   contribution: partial updates combined in the PCB, buffered in the
+//!   PUB, filtered at eviction by the WTSC or WTBC policy.
 //! * [`Mode::AnubisEcc`] — the hypothetical ideal of Section V-F: ECC bits
 //!   still exist, so metadata co-locates with data for free.
+//! * [`Mode::Eadr`] — the whole cache hierarchy is persistent, so
+//!   metadata persists through natural eviction alone.
+//! * [`Mode::Phoenix`] — a persistent tree of counters: counter blocks
+//!   persist strictly, the upper tree and the MACs stay lazy.
+//! * [`Mode::FreijStrict`] / [`Mode::FreijLazy`] — streamlined BMT
+//!   updates with strict or lazy persistence of the updated tree path.
 //!
 //! The simulator is execution-driven (it replays real workload traces
 //! from `thoth-workloads`), functionally faithful (real AES/MAC bytes in
@@ -61,9 +68,13 @@ use thoth_workloads::MultiCoreTrace;
 /// let trace = spec::generate(
 ///     WorkloadConfig::paper_default(WorkloadKind::Ctree).scaled(0.005),
 /// );
-/// let report = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
-/// assert!(report.total_cycles > 0);
-/// assert!(report.writes_total() > 0);
+/// let baseline = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
+/// assert!(baseline.total_cycles > 0);
+/// assert!(baseline.writes_total() > 0);
+///
+/// // Thoth writes strictly fewer NVM blocks than the baseline.
+/// let thoth = run_trace(&SimConfig::paper_default(Mode::thoth_wtsc(), 128), &trace);
+/// assert!(thoth.writes_total() < baseline.writes_total());
 /// ```
 #[must_use]
 pub fn run_trace(config: &SimConfig, trace: &MultiCoreTrace) -> SimReport {

@@ -1483,16 +1483,6 @@ impl SecureNvm {
         report
     }
 
-    /// Diagnostic: snapshots every counter-cache line as
-    /// `(addr, packed image, dirty, dirty_mask)`.
-    #[doc(hidden)]
-    pub fn debug_ctr_cache_snapshot(&self) -> Vec<(u64, Vec<u8>, bool, u64)> {
-        self.ctr_cache
-            .iter()
-            .map(|(a, groups, d, m)| (a, self.pack_ctr_block(groups), d, m))
-            .collect()
-    }
-
     /// Counter-block leaves whose persisted NVM image hashes differently
     /// from the logical tree's current leaf value — structured diagnostics
     /// shared by the recovery auditor and the debugging tools. Not part of

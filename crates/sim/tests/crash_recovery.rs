@@ -2,8 +2,8 @@
 //! points, recovery verification, and tamper detection — all in full
 //! functional mode (real AES ciphertexts and MACs in simulated NVM).
 
-use thoth_repro::sim::{FunctionalMode, Mode, SecureNvm, SimConfig};
-use thoth_repro::workloads::{spec, MultiCoreTrace, TraceOp, WorkloadConfig, WorkloadKind};
+use thoth_sim::{FunctionalMode, Mode, SecureNvm, SimConfig};
+use thoth_workloads::{spec, MultiCoreTrace, TraceOp, WorkloadConfig, WorkloadKind};
 
 fn full_cfg(mode: Mode) -> SimConfig {
     let mut cfg = SimConfig::paper_default(mode, 128);
@@ -187,7 +187,7 @@ fn eadr_crash_recovers_cleanly_without_a_pub() {
 
 #[test]
 fn after_wpq_arrangement_recovers_cleanly() {
-    use thoth_repro::sim::PcbArrangement;
+    use thoth_sim::PcbArrangement;
     let mut cfg = full_cfg(Mode::thoth_wtsc());
     cfg.pcb_arrangement = PcbArrangement::AfterWpq;
     let mut m = SecureNvm::new(cfg);

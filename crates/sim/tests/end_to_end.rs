@@ -1,9 +1,9 @@
 //! End-to-end integration: every workload through every machine mode,
 //! checking the cross-crate invariants the reproduction rests on.
 
-use thoth_repro::nvm::WriteCategory;
-use thoth_repro::sim::{run_trace, Mode, SimConfig, SimReport};
-use thoth_repro::workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
+use thoth_nvm::WriteCategory;
+use thoth_sim::{run_trace, Mode, SimConfig, SimReport};
+use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
 
 fn quick_trace(kind: WorkloadKind) -> MultiCoreTrace {
     let mut cfg = WorkloadConfig::paper_default(kind).scaled(0.02);
@@ -170,7 +170,7 @@ fn eadr_never_loses_to_thoth() {
 fn pcb_after_wpq_performs_like_before_wpq() {
     // Section IV-C: the paper found the augmented PCB-before-WPQ design
     // obtains similar performance to PCB-after-WPQ.
-    use thoth_repro::sim::PcbArrangement;
+    use thoth_sim::PcbArrangement;
     for kind in [WorkloadKind::Btree, WorkloadKind::Swap] {
         let trace = quick_trace(kind);
         let before = run_trace(&small_cfg(Mode::thoth_wtsc(), 128), &trace);

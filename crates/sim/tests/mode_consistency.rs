@@ -3,8 +3,8 @@
 //! decisions, write counts and timing to `Full`), and recovery must work
 //! at every block size and across PUB wraparound.
 
-use thoth_repro::sim::{run_trace, FunctionalMode, Mode, SecureNvm, SimConfig};
-use thoth_repro::workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
+use thoth_sim::{run_trace, FunctionalMode, Mode, SecureNvm, SimConfig};
+use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
 
 fn tiny_trace(kind: WorkloadKind) -> MultiCoreTrace {
     let mut cfg = WorkloadConfig::paper_default(kind).scaled(0.01);

@@ -5,10 +5,10 @@
 //! through the Figure-3 analysis engine (which applies the same policy
 //! logic the machine uses) and checks the figure's stated action.
 
-use thoth_repro::cache::CacheConfig;
-use thoth_repro::core::analysis::{MetaUpdate, PubAnalysis};
-use thoth_repro::core::policy::BlockView;
-use thoth_repro::core::{EvictOutcome, EvictionPolicy};
+use thoth_cache::CacheConfig;
+use thoth_core::analysis::{MetaUpdate, PubAnalysis};
+use thoth_core::policy::BlockView;
+use thoth_core::{EvictOutcome, EvictionPolicy};
 
 fn cache_cfg() -> CacheConfig {
     CacheConfig::new(4096, 4, 64)

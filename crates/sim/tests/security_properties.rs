@@ -2,10 +2,10 @@
 //! crates: the invariants that make Thoth's crash consistency *secure*,
 //! exercised with the deterministic thoth-testkit harness.
 
-use thoth_repro::core::{PartialUpdate, PubBlockCodec};
-use thoth_repro::crypto::counter::CounterGroup;
-use thoth_repro::crypto::{CtrMode, MacEngine, MacKey};
-use thoth_repro::merkle::{BonsaiTree, MerkleConfig};
+use thoth_core::{PartialUpdate, PubBlockCodec};
+use thoth_crypto::counter::CounterGroup;
+use thoth_crypto::{CtrMode, MacEngine, MacKey};
+use thoth_merkle::{BonsaiTree, MerkleConfig};
 use thoth_testkit::{check, Gen};
 
 fn arb_update(g: &mut Gen) -> PartialUpdate {

@@ -3,54 +3,57 @@
 # zero external dependencies; see DESIGN.md §5 and the committed
 # Cargo.lock). Run from the repository root. The root manifest is a
 # virtual workspace, so the plain `cargo test` / `cargo clippy` stages
-# cover every member crate.
+# cover every member crate. Each stage prints its elapsed seconds, and
+# the last line the total.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
-echo "== build (release) =="
-cargo build --release --locked
+# stage NAME CMD...: runs CMD under a banner and reports its wall time.
+stage() {
+    local name=$1 start=$SECONDS
+    shift
+    echo "== $name =="
+    "$@"
+    echo "-- $name: $((SECONDS - start)) s"
+}
 
-echo "== tests (every workspace crate) =="
-cargo test -q --locked
+experiment() {
+    cargo run -q --release --locked -p thoth-experiments -- "$@"
+}
 
-echo "== clippy (deny warnings, every workspace crate) =="
-cargo clippy --all-targets --locked -- -D warnings
+stage "build (release)" cargo build --release --locked
 
-echo "== thoth-lint (repo invariants) =="
-cargo run -q --release --locked -p thoth-lint
+stage "tests (every workspace crate)" cargo test -q --locked
 
-echo "== ablation smoke (incl. six-mechanism comparison table) =="
-cargo run -q --release --locked -p thoth-experiments -- ablation --quick
+stage "clippy (deny warnings, every workspace crate)" \
+    cargo clippy --all-targets --locked -- -D warnings
 
-echo "== crashtest smoke (sampled crash points, all workloads) =="
-cargo run -q --release --locked -p thoth-experiments -- crashtest --quick
+stage "thoth-lint (repo invariants)" cargo run -q --release --locked -p thoth-lint
 
-echo "== psan (sanitizer clean sweep + seeded-bug corpus) =="
-cargo run -q --release --locked -p thoth-experiments -- psan --quick
+stage "ablation smoke (incl. six-mechanism comparison table)" experiment ablation --quick
 
-echo "== fuzz (persist-trace fuzzer, three-observer cross-check) =="
-cargo run -q --release --locked -p thoth-experiments -- fuzz --quick
+stage "crashtest smoke (sampled crash points, all workloads)" experiment crashtest --quick
 
-echo "== telemetry smoke (neutrality + artifact schema, one workload) =="
-cargo run -q --release --locked -p thoth-experiments -- telemetry --quick
+stage "psan (sanitizer clean sweep + seeded-bug corpus)" experiment psan --quick
 
-echo "== service smoke (open-loop saturation: finite monotone quantiles + knee) =="
-cargo run -q --release --locked -p thoth-experiments -- service --quick
+stage "fuzz (persist-trace fuzzer, three-observer cross-check)" experiment fuzz --quick
 
-echo "== perf digest gate (quick matrix must match the pinned digest) =="
-cargo run -q --release --locked -p thoth-experiments -- perf --quick \
-    --expect-digest 0xaa9ddf0ced976c32
+stage "telemetry smoke (neutrality + artifact schema, one workload)" experiment telemetry --quick
 
-echo "== perf digest gate (scale 0.1 — exercises batch shapes quick mode misses) =="
-cargo run -q --release --locked -p thoth-experiments -- perf --scale 0.1 \
-    --expect-digest 0x7a4d2eee8b41f3a6
+stage "service smoke (open-loop saturation: finite monotone quantiles + knee)" \
+    experiment service --quick
 
-echo "== crypto with intrinsics disabled (thoth_soft_aes fallback must not rot) =="
-RUSTFLAGS="--cfg thoth_soft_aes" cargo test -q --locked -p thoth-crypto
+stage "headline digest gate (quick matrix must match its pin)" experiment headline --quick
 
-echo "== crypto with SIMD hashing disabled (thoth_soft_sip fallback must not rot) =="
-RUSTFLAGS="--cfg thoth_soft_sip" cargo test -q --locked -p thoth-crypto
+stage "headline digest gate (scale 0.1 — exercises batch shapes quick mode misses)" \
+    experiment headline --scale 0.1
 
-echo "ci: all green"
+stage "crypto with intrinsics disabled (thoth_soft_aes fallback must not rot)" \
+    env RUSTFLAGS="--cfg thoth_soft_aes" cargo test -q --locked -p thoth-crypto
+
+stage "crypto with SIMD hashing disabled (thoth_soft_sip fallback must not rot)" \
+    env RUSTFLAGS="--cfg thoth_soft_sip" cargo test -q --locked -p thoth-crypto
+
+echo "ci: all green in ${SECONDS} s"

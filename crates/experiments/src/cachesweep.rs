@@ -7,10 +7,10 @@
 //! strictly on every write.
 
 use crate::gmean;
-use crate::runner::{sim_config, simulate, ExpSettings, TraceCache};
+use crate::runner::{sim_config, ExpSettings, TraceCache};
 use crate::tablefmt::Table;
 
-use thoth_sim::Mode;
+use thoth_sim::{run_trace, Mode};
 use thoth_workloads::WorkloadKind;
 
 /// The paper's (counter cache, MAC cache) size points, in bytes.
@@ -49,8 +49,8 @@ pub fn run(settings: ExpSettings) -> Vec<Table> {
                 let mut thoth_cfg = sim_config(Mode::thoth_wtsc(), block);
                 thoth_cfg.ctr_cache_bytes = ctr_bytes;
                 thoth_cfg.mac_cache_bytes = mac_bytes;
-                let base = simulate(&base_cfg, &trace);
-                let thoth = simulate(&thoth_cfg, &trace);
+                let base = run_trace(&base_cfg, &trace);
+                let thoth = run_trace(&thoth_cfg, &trace);
                 let s = thoth.speedup_over(&base);
                 cols[i].push(s);
                 vals.push(s);

@@ -206,31 +206,135 @@ pub fn anubis_compare(runs: &HeadlineRuns) -> Table {
     table
 }
 
-/// Runs everything and renders all four tables.
+/// Pinned headline-matrix digests at the default seed, by scale — the
+/// behavioural contract every hot-path optimization is held to. Any
+/// change to simulated behaviour (event order, crypto output, cache
+/// policy, counters) moves these values, and `headline` fails its own
+/// run when the measured digest disagrees with the pin.
+///
+/// If a change is *supposed* to alter simulated behaviour, re-pin from
+/// the digest `thoth-experiments headline --scale S` prints, and record
+/// why in the commit. The quick pin was re-pinned from
+/// `0xab00_fa10_45cd_2f2f` when the transaction runtime gained undo-log
+/// dedup (a range already logged in the open transaction is not logged
+/// again), which shrank every workload trace.
+const PINNED_DIGESTS: [(f64, u64); 4] = [
+    (0.02, 0xaa9d_df0c_ed97_6c32),
+    (0.1, 0x7a4d_2eee_8b41_f3a6),
+    (0.5, 0x6dfe_022d_554e_fc5d),
+    (1.0, 0x7f18_0627_9ebb_c937),
+];
+
+/// The seed every [`PINNED_DIGESTS`] entry was measured at.
+const PINNED_SEED: u64 = 0xC0FFEE;
+
+/// The pinned matrix digest for `settings`, if that point is pinned.
 #[must_use]
-pub fn run(settings: ExpSettings) -> Vec<Table> {
+pub fn pinned_digest(settings: ExpSettings) -> Option<u64> {
+    if settings.seed != PINNED_SEED {
+        return None;
+    }
+    PINNED_DIGESTS
+        .iter()
+        .find(|(scale, _)| scale.to_bits() == settings.scale.to_bits())
+        .map(|&(_, digest)| digest)
+}
+
+/// Checks a measured matrix `digest` against the pin for `settings`:
+/// the one-line verdict, and whether it passed (unpinned settings always
+/// pass — there is nothing to hold them to).
+#[must_use]
+fn digest_verdict(settings: ExpSettings, digest: u64) -> (String, bool) {
+    match pinned_digest(settings) {
+        Some(pin) if pin == digest => (
+            format!("headline: matrix digest {digest:#018x} matches the pin"),
+            true,
+        ),
+        Some(pin) => (
+            format!("headline: matrix digest {digest:#018x} does not match the pin {pin:#018x}"),
+            false,
+        ),
+        None => (
+            format!(
+                "headline: matrix digest {digest:#018x} (unpinned: scale {}, seed {:#x})",
+                settings.scale, settings.seed
+            ),
+            true,
+        ),
+    }
+}
+
+/// Tables plus the pin verdict (the binary exits non-zero on `!ok`).
+#[derive(Debug)]
+pub struct HeadlineOutcome {
+    /// Rendered result tables.
+    pub tables: Vec<Table>,
+    /// The matrix digest matched its pin, or the settings are unpinned.
+    pub ok: bool,
+}
+
+/// Runs the matrix, renders all five tables, and checks the matrix
+/// digest against its pin (one verdict line on stderr).
+#[must_use]
+pub fn run(settings: ExpSettings) -> HeadlineOutcome {
     let mut cache = TraceCache::new(settings);
     let runs = run_matrix(&mut cache);
-    vec![
-        figure8(&runs),
-        figure9(&runs),
-        category_breakdown(&runs, 128),
-        category_breakdown(&runs, 256),
-        anubis_compare(&runs),
-    ]
+    let (verdict, ok) = digest_verdict(settings, matrix_digest(&runs));
+    eprintln!("{verdict}");
+    HeadlineOutcome {
+        tables: vec![
+            figure8(&runs),
+            figure9(&runs),
+            category_breakdown(&runs, 128),
+            category_breakdown(&runs, 256),
+            anubis_compare(&runs),
+        ],
+        ok,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The one test of the quick pin: the same 40 jobs CI's
+    /// `headline --quick` stage runs, through the same verdict.
     #[test]
     fn quick_headline_produces_all_tables() {
-        let tables = run(ExpSettings::quick());
-        assert_eq!(tables.len(), 5);
+        let out = run(ExpSettings::quick());
+        assert!(
+            out.ok,
+            "the quick headline matrix no longer matches its pin (see the \
+             verdict line above); re-pin only if simulated behaviour was \
+             meant to change"
+        );
+        assert_eq!(out.tables.len(), 5);
         // Figure 8 has one row per workload plus the gmean.
-        assert_eq!(tables[0].len(), WorkloadKind::ALL.len() + 1);
-        let fig9 = tables[1].render();
+        assert_eq!(out.tables[0].len(), WorkloadKind::ALL.len() + 1);
+        let fig9 = out.tables[1].render();
         assert!(fig9.contains("swap"));
+    }
+
+    #[test]
+    fn only_the_default_seed_at_listed_scales_is_pinned() {
+        for (scale, digest) in PINNED_DIGESTS {
+            let settings = ExpSettings { scale, seed: PINNED_SEED };
+            assert_eq!(pinned_digest(settings), Some(digest));
+            assert_eq!(pinned_digest(ExpSettings { seed: 1, ..settings }), None);
+        }
+        assert!(pinned_digest(ExpSettings::quick()).is_some());
+        assert_eq!(pinned_digest(ExpSettings::default()), None, "scale 0.25 is unpinned");
+    }
+
+    #[test]
+    fn a_digest_off_its_pin_fails_the_verdict() {
+        let quick = ExpSettings::quick();
+        let pin = pinned_digest(quick).expect("quick is pinned");
+        assert!(digest_verdict(quick, pin).1);
+        let (line, ok) = digest_verdict(quick, pin ^ 1);
+        assert!(!ok);
+        assert!(line.contains("does not match"), "{line}");
+        // Unpinned settings only report the digest.
+        assert!(digest_verdict(ExpSettings { seed: 1, ..quick }, pin ^ 1).1);
     }
 }

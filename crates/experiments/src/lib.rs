@@ -34,7 +34,6 @@ pub mod fig3;
 pub mod fuzz;
 pub mod headline;
 pub mod lifetime;
-pub mod perf;
 pub mod psan;
 pub mod recovery;
 pub mod runner;

@@ -15,8 +15,8 @@
 use thoth_experiments::runner::ExpSettings;
 use thoth_experiments::tablefmt::Table;
 use thoth_experiments::{
-    ablation, cachesweep, crashtest, fig3, fuzz, headline, lifetime, perf, psan, recovery,
-    service, telemetry, txsweep, wpqsweep,
+    ablation, cachesweep, crashtest, fig3, fuzz, headline, lifetime, psan, recovery, service,
+    telemetry, txsweep, wpqsweep,
 };
 
 use std::path::PathBuf;
@@ -30,8 +30,6 @@ fn main() {
     let mut point: Option<String> = None;
     let mut point_mode = thoth_sim::Mode::thoth_wtsc();
     let mut trace: Option<String> = None;
-    let mut trajectory: Vec<f64> = Vec::new();
-    let mut expect_digest: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -64,19 +62,6 @@ fn main() {
             "--trace" => {
                 trace = Some(args.next().expect("--trace needs SEED:ANCHOR"));
             }
-            "--trajectory" => {
-                let v = args.next().expect("--trajectory needs S1,S2,...");
-                trajectory = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--trajectory takes floats"))
-                    .collect();
-            }
-            "--expect-digest" => {
-                let v = args.next().expect("--expect-digest needs a hex digest");
-                let hex = v.trim_start_matches("0x");
-                expect_digest =
-                    Some(u64::from_str_radix(hex, 16).expect("--expect-digest takes hex"));
-            }
             "--seed" => {
                 let v = args.next().expect("--seed needs a value");
                 settings.seed = v.parse().expect("--seed takes a u64");
@@ -108,6 +93,15 @@ fn main() {
         }
     };
 
+    let emit_headline = || {
+        let out = headline::run(settings);
+        emit(out.tables, "headline");
+        if !out.ok {
+            eprintln!("headline: FAILED (matrix digest does not match the pin)");
+            std::process::exit(1);
+        }
+    };
+
     for exp in &wanted {
         let all = exp == "all";
         match exp.as_str() {
@@ -115,29 +109,13 @@ fn main() {
                 let (t, _) = fig3::run(settings, &fig3::PAPER_FIFO_SIZES);
                 emit(vec![t], "fig3");
             }
-            "headline" | "fig8" | "fig9" | "anubis" => {
-                emit(headline::run(settings), "headline");
-            }
+            "headline" | "fig8" | "fig9" | "anubis" => emit_headline(),
             "fig10" | "table2" | "table3" | "txsweep" => {
                 emit(txsweep::run(settings, &txsweep::TX_SIZES), "txsweep");
             }
             "fig11" => emit(cachesweep::run(settings), "fig11"),
             "fig12" => emit(wpqsweep::run(settings), "fig12"),
             "recovery" => emit(recovery::run(settings), "recovery"),
-            "perf" => {
-                // Perf trajectory defaults to the quick headline config so
-                // successive runs are comparable; --scale overrides.
-                let mut s = settings;
-                if !scale_given {
-                    s.scale = ExpSettings::quick().scale;
-                }
-                let out = perf::run(s, &trajectory, expect_digest);
-                emit(out.tables, "perf");
-                if !out.ok {
-                    eprintln!("perf: FAILED (matrix digest does not match the pin)");
-                    std::process::exit(1);
-                }
-            }
             "crashtest" => {
                 // Crash sweeps default to the quick trace scale so each
                 // sampled point replays quickly; --scale overrides.
@@ -216,7 +194,7 @@ fn main() {
         if all {
             let (t, _) = fig3::run(settings, &fig3::PAPER_FIFO_SIZES);
             emit(vec![t], "fig3");
-            emit(headline::run(settings), "headline");
+            emit_headline();
             emit(txsweep::run(settings, &txsweep::TX_SIZES), "txsweep");
             emit(cachesweep::run(settings), "fig11");
             emit(wpqsweep::run(settings), "fig12");
@@ -235,13 +213,13 @@ USAGE:
 
 EXPERIMENTS:
   fig3      Figure 3  — PUB eviction breakdown vs FIFO size
-  headline  Figures 8 & 9 + Section V-F (also: fig8, fig9, anubis)
+  headline  Figures 8 & 9 + Section V-F (also: fig8, fig9, anubis);
+            exits non-zero if the matrix digest misses its pin (pinned:
+            scales 0.02/--quick, 0.1, 0.5, 1.0 at the default seed)
   txsweep   Figure 10 + Tables II & III (also: fig10, table2, table3)
   fig11     Figure 11 — metadata cache size sensitivity
   fig12     Figure 12 — WPQ size sensitivity
   recovery  Section IV-D — crash recovery + time model
-  perf      perf-trajectory harness: wall-clock + persists/s per mode,
-            writes results/BENCH_perf.json (quick scale unless --scale)
   crashtest crash-injection sweep + recovery audit across all workloads,
             writes results/crashtest.json; exits non-zero on any failing
             crash point (quick scale unless --scale)
@@ -282,10 +260,4 @@ OPTIONS:
              (fuzz only) replay one fuzz case verbosely — the recipe
              printed when a disagreement is minimized; the optional
              MODE is a mechanism label such as phoenix (default
-             thoth-wtsc)
-  --trajectory S1,S2,...
-             (perf only) also measure the matrix at each extra scale and
-             record every point in the results trajectory array
-  --expect-digest HEX
-             (perf only) CI gate: run, compare the matrix digest against
-             the pin, write nothing, exit non-zero on mismatch";
+             thoth-wtsc)";

@@ -478,7 +478,7 @@ mod tests {
         for mode in [Mode::thoth_wtsc(), Mode::phoenix()] {
             let v = seed_variant_under(&annotated, SeededBug::DroppedFlush, 1, mode)
                 .expect("swap exposes dropped-flush sites");
-            let run = thoth_psan::analyze_variant_under(&v, mode);
+            let run = analyze_under(&v.trace, &v.classes, sim_config_for(mode));
             assert!(detection(&run, &v).is_some(), "missed under {}", mode.label());
         }
     }

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use thoth_sim::{Mode, SimConfig, SimReport};
+use thoth_sim::{run_trace, Mode, SimConfig, SimReport};
 use thoth_telemetry::ProgressSink;
 use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
 
@@ -42,19 +42,9 @@ impl ExpSettings {
     /// The workload configuration for `kind` at transaction size `tx_size`.
     #[must_use]
     pub fn workload(&self, kind: WorkloadKind, tx_size: usize) -> WorkloadConfig {
-        let mut cfg = WorkloadConfig::paper_default(kind).scaled(self.scale);
+        let mut cfg = WorkloadConfig::at_scale(kind, self.scale);
         cfg.tx_size = tx_size;
         cfg.seed = self.seed;
-        if self.scale < 0.1 {
-            // Quick mode: shrink the pre-population proportionally so
-            // trace generation stays fast.
-            cfg.footprint = match kind {
-                WorkloadKind::Swap => 4,
-                WorkloadKind::Queue => 32,
-                _ => 10_000,
-            };
-            cfg.prepopulate = cfg.footprint / 2;
-        }
         cfg
     }
 }
@@ -94,12 +84,6 @@ impl TraceCache {
     }
 }
 
-/// Runs one simulation; a thin wrapper kept for symmetric call sites.
-#[must_use]
-pub fn simulate(config: &SimConfig, trace: &MultiCoreTrace) -> SimReport {
-    thoth_sim::run_trace(config, trace)
-}
-
 /// One unit of work for [`run_jobs`]: a keyed simulation.
 pub struct Job<K> {
     /// Caller-chosen key identifying the run in the results.
@@ -112,8 +96,7 @@ pub struct Job<K> {
 
 /// Relative simulation cost of one job: the op count of its trace scaled
 /// by a per-mode weight (in percent of the baseline mode). The weights
-/// come from the perf harness's per-mode wall clocks over the headline
-/// matrix; precision is irrelevant — the longest-processing-time-first
+/// come from measured per-mode wall clocks over the headline matrix; precision is irrelevant — the longest-processing-time-first
 /// schedule and the progress estimates only need the ranking and a rough
 /// magnitude.
 #[must_use]
@@ -197,7 +180,7 @@ pub fn run_jobs<K: Send + std::fmt::Debug>(jobs: Vec<Job<K>>) -> Vec<(K, SimRepo
                 let cost = job_cost(&job);
                 let estimate = clock.lock().expect("clock lock").estimate(cost);
                 let started = Instant::now();
-                let report = simulate(&job.config, &job.trace);
+                let report = run_trace(&job.config, &job.trace);
                 let elapsed = started.elapsed();
                 clock.lock().expect("clock lock").absorb(cost, elapsed);
                 log_job_done(
@@ -235,7 +218,7 @@ pub fn run_jobs_sequential<K: Send + std::fmt::Debug>(jobs: Vec<Job<K>>) -> Vec<
             let cost = job_cost(&j);
             let estimate = clock.estimate(cost);
             let started = Instant::now();
-            let report = simulate(&j.config, &j.trace);
+            let report = run_trace(&j.config, &j.trace);
             let elapsed = started.elapsed();
             clock.absorb(cost, elapsed);
             log_job_done(i + 1, n, &j.key, elapsed, estimate);

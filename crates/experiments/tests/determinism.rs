@@ -2,11 +2,12 @@
 //!
 //! 1. the parallel job runner produces byte-identical reports to a strict
 //!    sequential replay of the same jobs, and
-//! 2. the quick-mode headline matrix digests to a pinned golden value,
-//!    captured before the hot-path optimizations landed — so "faster" can
-//!    never silently become "different", and
-//! 3. per-run telemetry depends only on the run, not on process state
+//! 2. per-run telemetry depends only on the run, not on process state
 //!    left behind by earlier job batches.
+//!
+//! The third leg — the headline matrix digests to a pinned golden value,
+//! so "faster" can never silently become "different" — lives with the
+//! pin table in `headline.rs` and is checked by every `headline` run.
 
 use std::sync::Arc;
 use thoth_experiments::headline::{matrix_digest, matrix_jobs, HeadlineRuns};
@@ -15,27 +16,6 @@ use thoth_experiments::runner::{
 };
 use thoth_sim::{Mode, SecureNvm, TelemetryConfig};
 use thoth_workloads::WorkloadKind;
-
-/// Golden digest of the quick-settings headline matrix (5 workloads ×
-/// {128, 256} B × 4 modes at `ExpSettings::quick()`), captured on the
-/// pre-optimization implementation. Any change to simulated behaviour —
-/// event order, crypto output, cache policy, counters — moves this value.
-///
-/// If a change is *supposed* to alter simulated behaviour, re-pin with:
-/// `cargo test -p thoth-experiments --test determinism -- --nocapture`
-/// (a mismatch prints the new digest) and record why in the commit.
-///
-/// Re-pinned from `0xab00_fa10_45cd_2f2f` when the transaction runtime
-/// gained undo-log dedup (a range already logged in the open transaction
-/// is not logged again — the covered-log-append smell `thoth-psan`
-/// surfaces). Workload traces shrink by the duplicate log appends, so
-/// every simulated report legitimately moves.
-const GOLDEN_QUICK_DIGEST: u64 = 0xaa9d_df0c_ed97_6c32;
-
-fn quick_matrix_parallel() -> HeadlineRuns {
-    let mut cache = TraceCache::new(ExpSettings::quick());
-    run_jobs(matrix_jobs(&mut cache)).into_iter().collect()
-}
 
 #[test]
 fn parallel_and_sequential_runs_agree() {
@@ -53,17 +33,6 @@ fn parallel_and_sequential_runs_agree() {
         );
     }
     assert_eq!(matrix_digest(&par), matrix_digest(&seq));
-}
-
-#[test]
-fn quick_headline_matches_golden_snapshot() {
-    let digest = matrix_digest(&quick_matrix_parallel());
-    assert_eq!(
-        digest, GOLDEN_QUICK_DIGEST,
-        "headline matrix digest changed: got {digest:#018x}. If the \
-         simulated behaviour was intentionally changed, re-pin \
-         GOLDEN_QUICK_DIGEST and say why in the commit message."
-    );
 }
 
 #[test]

@@ -7,7 +7,7 @@ use thoth_sim::{
     FunctionalMode, Mode, PersistEvent, PersistEventKind, SecureNvm, SimConfig, SimReport, NO_CTX,
 };
 use thoth_workloads::{
-    corpus, spec, AnnotatedTrace, BugSite, MultiCoreTrace, OpClass, RaceAlignment, SeededBug,
+    corpus, AnnotatedTrace, BugSite, MultiCoreTrace, OpClass, RaceAlignment, SeededBug,
     SeededVariant, WorkloadConfig, WorkloadKind,
 };
 
@@ -27,17 +27,11 @@ pub struct PsanRun {
     pub report: PsanReport,
 }
 
-/// The simulator configuration sanitizer runs use: Thoth/WTSC, fast
+/// The simulator configuration sanitizer runs use under `mode`: fast
 /// functional mode (the checker needs event structure, not real bytes),
 /// a small PUB so eviction traffic appears, and no PUB prefill (prefill
-/// bypasses the instrumented append path).
-#[must_use]
-pub fn sim_config() -> SimConfig {
-    sim_config_for(Mode::thoth_wtsc())
-}
-
-/// [`sim_config`] under an arbitrary metadata-persistence mode — the
-/// multi-mode clean sweep runs every workload under every mode.
+/// bypasses the instrumented append path). The multi-mode clean sweep
+/// and the seeded-bug corpus run under every mode.
 #[must_use]
 pub fn sim_config_for(mode: Mode) -> SimConfig {
     let mut cfg = SimConfig::paper_default(mode, BLOCK_BYTES);
@@ -53,14 +47,9 @@ pub fn workload_config(kind: WorkloadKind, scale: f64) -> WorkloadConfig {
     WorkloadConfig::paper_default(kind).scaled(scale)
 }
 
-/// Runs `trace` through the instrumented simulator and checks the event
-/// stream against the trace's per-op `classes`.
-#[must_use]
-pub fn analyze(trace: &MultiCoreTrace, classes: &[Vec<OpClass>]) -> PsanRun {
-    analyze_under(trace, classes, sim_config())
-}
-
-/// [`analyze`] with an explicit simulator configuration.
+/// Runs `trace` through the instrumented simulator under `cfg` (usually
+/// [`sim_config_for`]) and checks the event stream against the trace's
+/// per-op `classes`.
 #[must_use]
 pub fn analyze_under(trace: &MultiCoreTrace, classes: &[Vec<OpClass>], cfg: SimConfig) -> PsanRun {
     let mut machine = SecureNvm::new(cfg);
@@ -69,39 +58,9 @@ pub fn analyze_under(trace: &MultiCoreTrace, classes: &[Vec<OpClass>], cfg: SimC
     PsanRun { sim, report }
 }
 
-/// Generates and analyzes the unmodified `kind` workload at `scale`.
-#[must_use]
-pub fn analyze_clean(kind: WorkloadKind, scale: f64) -> PsanRun {
-    let a = spec::generate_annotated(workload_config(kind, scale));
-    analyze(&a.trace, &a.classes)
-}
-
-/// Generates and analyzes the unmodified `kind` workload at `scale`
-/// under `mode` — the clean sweep must be silent for every mechanism,
-/// not just Thoth/WTSC.
-#[must_use]
-pub fn analyze_clean_under(kind: WorkloadKind, scale: f64, mode: Mode) -> PsanRun {
-    let a = spec::generate_annotated(workload_config(kind, scale));
-    analyze_under(&a.trace, &a.classes, sim_config_for(mode))
-}
-
-/// Analyzes a seeded-bug variant.
-#[must_use]
-pub fn analyze_variant(v: &SeededVariant) -> PsanRun {
-    analyze(&v.trace, &v.classes)
-}
-
-/// [`analyze_variant`] under an arbitrary metadata-persistence mode —
-/// the seeded-bug corpus must be caught under every mechanism, since
-/// the planted bugs are program-level, not mechanism-level.
-#[must_use]
-pub fn analyze_variant_under(v: &SeededVariant, mode: Mode) -> PsanRun {
-    analyze_under(&v.trace, &v.classes, sim_config_for(mode))
-}
-
-/// [`analyze_variant_under`], also returning the raw event stream so
-/// the caller can establish schedule-level ground truth (see
-/// [`race_manifested`]).
+/// [`analyze_under`] for a seeded-bug variant under `mode`, also
+/// returning the raw event stream so the caller can establish
+/// schedule-level ground truth (see [`race_manifested`]).
 #[must_use]
 pub fn analyze_variant_with_events(v: &SeededVariant, mode: Mode) -> (PsanRun, Vec<PersistEvent>) {
     let mut machine = SecureNvm::new(sim_config_for(mode));
@@ -193,7 +152,7 @@ pub fn seed_variant(annotated: &AnnotatedTrace, bug: SeededBug, seed: u64) -> Op
 }
 
 /// [`seed_variant`] with the alignment pilot run under `mode`, for
-/// variants that will be analyzed via [`analyze_variant_under`].
+/// variants that will be analyzed under that mode.
 #[must_use]
 pub fn seed_variant_under(
     annotated: &AnnotatedTrace,

@@ -2,20 +2,21 @@
 //! clean, and every seeded-bug variant is caught with exact attribution.
 
 use thoth_psan::{
-    analyze_clean, analyze_clean_under, analyze_variant, detection, expected_class, seed_variant,
+    analyze_under, detection, expected_class, seed_variant, sim_config_for, workload_config,
     FindingClass, DEFAULT_SCALE,
 };
 use thoth_sim::Mode;
-use thoth_workloads::{spec, SeededBug, WorkloadConfig, WorkloadKind};
+use thoth_workloads::{spec, SeededBug, WorkloadKind};
 
 fn annotated(kind: WorkloadKind) -> thoth_workloads::AnnotatedTrace {
-    spec::generate_annotated(WorkloadConfig::paper_default(kind).scaled(DEFAULT_SCALE))
+    spec::generate_annotated(workload_config(kind, DEFAULT_SCALE))
 }
 
 #[test]
 fn clean_workloads_have_no_durability_or_ordering_findings() {
     for kind in WorkloadKind::ALL {
-        let run = analyze_clean(kind, DEFAULT_SCALE);
+        let a = annotated(kind);
+        let run = analyze_under(&a.trace, &a.classes, sim_config_for(Mode::thoth_wtsc()));
         let errors: Vec<_> = run
             .report
             .findings
@@ -56,7 +57,7 @@ fn every_seeded_bug_is_caught_at_its_planted_site() {
                     );
                     continue;
                 };
-                let run = analyze_variant(&v);
+                let run = analyze_under(&v.trace, &v.classes, sim_config_for(Mode::thoth_wtsc()));
                 let hit = detection(&run, &v);
                 assert!(
                     hit.is_some(),
@@ -85,7 +86,7 @@ fn seeded_variants_do_not_drown_the_signal() {
     let a = annotated(WorkloadKind::Btree);
     for bug in SeededBug::ALL {
         let v = seed_variant(&a, bug, 5).expect("site");
-        let run = analyze_variant(&v);
+        let run = analyze_under(&v.trace, &v.classes, sim_config_for(Mode::thoth_wtsc()));
         let errors = run
             .report
             .findings
@@ -122,8 +123,9 @@ fn clean_sweep_is_silent_under_every_mechanism() {
         Mode::AnubisEcc,
     ];
     for kind in WorkloadKind::ALL.into_iter().chain([WorkloadKind::Service]) {
+        let a = annotated(kind);
         for mode in modes {
-            let run = analyze_clean_under(kind, DEFAULT_SCALE, mode);
+            let run = analyze_under(&a.trace, &a.classes, sim_config_for(mode));
             assert!(
                 run.report.findings.is_empty(),
                 "{kind} under {}: {:?}",

@@ -90,7 +90,7 @@ pub struct SecureNvm {
 /// packaged by [`SecureNvm::warm_boot`] so repeated measured runs of the
 /// same trace skip the warm-up. Cloning the image is bit-identical to
 /// re-running the warm-up (guarded by the `warm_start` test suite and
-/// the perf harness's cold-vs-warm digest check).
+/// perfbench's cold-vs-warm digest check).
 pub struct WarmBoot {
     machine: SecureNvm,
     cores: Vec<CoreState>,

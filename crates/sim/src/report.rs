@@ -116,8 +116,8 @@ impl SimReport {
     /// Order-stable 64-bit digest over **every** field (FNV-1a over a
     /// canonical encoding; floats via `to_bits`, maps in `BTreeMap` key
     /// order). Two reports digest equal iff they are bit-identical, so the
-    /// determinism tests and the perf harness can pin golden snapshots and
-    /// compare whole report matrices cheaply.
+    /// determinism tests and `headline`'s pin table can hold golden
+    /// snapshots and compare whole report matrices cheaply.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();

@@ -147,6 +147,25 @@ impl WorkloadConfig {
         self.txs_per_core = ((self.txs_per_core as f64 * f) as usize).max(1);
         self
     }
+
+    /// The experiment configuration of `kind` at transaction-count scale
+    /// `f`: [`Self::scaled`], and at quick scales (below 0.1) a
+    /// pre-population shrunk proportionally so trace generation stays
+    /// fast. The experiment runner, the crash sweeps, and the simulator's
+    /// mode-parity tests all generate through this one shrink.
+    #[must_use]
+    pub fn at_scale(kind: WorkloadKind, f: f64) -> Self {
+        let mut cfg = Self::paper_default(kind).scaled(f);
+        if f < 0.1 {
+            cfg.footprint = match kind {
+                WorkloadKind::Swap => 4,
+                WorkloadKind::Queue => 32,
+                _ => 10_000,
+            };
+            cfg.prepopulate = cfg.footprint / 2;
+        }
+        cfg
+    }
 }
 
 /// Base heap address for core `i`: cores are ≈1 GiB apart so their data
